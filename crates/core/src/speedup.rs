@@ -57,6 +57,30 @@ pub fn log_spaced_ns(max_n: usize, points: usize) -> Vec<usize> {
     ns
 }
 
+/// The worker counts a curve or planner evaluates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ladder {
+    /// Every `n ∈ 1..=max_n`.
+    Dense(usize),
+    /// The geometric ladder [`log_spaced_ns`]`(max_n, points)`.
+    Log {
+        /// The largest worker count.
+        max_n: usize,
+        /// Rungs before deduplication.
+        points: usize,
+    },
+}
+
+impl Ladder {
+    /// The worker counts, strictly increasing.
+    pub fn ns(&self) -> Vec<usize> {
+        match *self {
+            Ladder::Dense(max_n) => (1..=max_n).collect(),
+            Ladder::Log { max_n, points } => log_spaced_ns(max_n, points),
+        }
+    }
+}
+
 /// A time function evaluated over a range of worker counts, with derived
 /// speedup/efficiency analysis.
 ///

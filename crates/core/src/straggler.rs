@@ -36,13 +36,13 @@ use crate::models::gd::GradientDescentModel;
 use crate::models::graphinf::GraphInferenceModel;
 use crate::par;
 use crate::planner::{Planner, Pricing};
-use crate::speedup::{log_spaced_ns, SpeedupCurve, DENSE_EVAL_MAX_N};
+use crate::speedup::{log_spaced_ns, Ladder, SpeedupCurve, DENSE_EVAL_MAX_N};
 use crate::units::Seconds;
 use rand::Rng;
 use rand_distr::{Distribution, Exp, LogNormal};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Distribution of the per-worker, per-superstep straggler delay added on
 /// top of a worker's deterministic compute time.
@@ -672,6 +672,16 @@ impl StragglerModel {
     /// # Panics
     /// Panics when `n == 0` or `k >= n`.
     pub fn expected_order_stat(&self, n: usize, k: usize) -> f64 {
+        self.order_stat_on(&OnceLock::new(), n, k)
+    }
+
+    /// [`Self::expected_order_stat`] with the log-normal sub-crossover
+    /// quadrature run on `grid`, built on first use. Callers that hold
+    /// one grid across many `(n, k)` queries (the batch tables, an
+    /// [`OrderStatCache`]) pay its transcendentals once; the grid is
+    /// deterministic, so every value is bit-identical to a per-call
+    /// grid. `grid` must only ever hold this model's grid.
+    fn order_stat_on(&self, grid: &OnceLock<LogNormalGrid>, n: usize, k: usize) -> f64 {
         self.assert_valid();
         assert!(n >= 1, "need at least one draw");
         assert!(k < n, "cannot drop all {n} workers (k = {k})");
@@ -686,7 +696,8 @@ impl StragglerModel {
                 if n > LOGNORMAL_ASYMPTOTIC_MIN_N {
                     return lognormal_order_stat_asymptotic(mu, sigma, n, k);
                 }
-                LogNormalGrid::new(mu, sigma).expected_order_stat(n, k)
+                grid.get_or_init(|| LogNormalGrid::new(mu, sigma))
+                    .expected_order_stat(n, k)
             }
         }
     }
@@ -744,6 +755,17 @@ impl StragglerModel {
     /// weights, multiplication order, harmonic partial sums) is exactly
     /// the serial path's, only the transcendental evaluations are shared.
     pub fn expected_order_stats(&self, n_max: usize, drop_k: usize) -> Vec<f64> {
+        self.order_stats_on(&OnceLock::new(), n_max, drop_k)
+    }
+
+    /// [`Self::expected_order_stats`] with the log-normal quadrature run
+    /// on `grid` (see [`Self::order_stat_on`]).
+    fn order_stats_on(
+        &self,
+        grid: &OnceLock<LogNormalGrid>,
+        n_max: usize,
+        drop_k: usize,
+    ) -> Vec<f64> {
         self.assert_valid();
         assert!(n_max >= 1, "need at least one draw");
         match *self {
@@ -782,22 +804,11 @@ impl StragglerModel {
                     })
                     .collect()
             }
-            StragglerModel::LogNormalTail { mu, sigma } => {
-                if sigma == 0.0 {
-                    return vec![mu.exp(); n_max];
-                }
-                let grid = LogNormalGrid::new(mu, sigma);
+            StragglerModel::LogNormalTail { .. } => {
                 let ns: Vec<usize> = (1..=n_max).collect();
                 // The per-n Simpson sums over the shared grid are
                 // independent — fan them out too.
-                par::map(&ns, |&n| {
-                    let k = drop_k.min(n - 1);
-                    if n > LOGNORMAL_ASYMPTOTIC_MIN_N {
-                        lognormal_order_stat_asymptotic(mu, sigma, n, k)
-                    } else {
-                        grid.expected_order_stat(n, k)
-                    }
-                })
+                par::map(&ns, |&n| self.order_stat_on(grid, n, drop_k.min(n - 1)))
             }
         }
     }
@@ -815,23 +826,12 @@ impl StragglerModel {
     /// # Panics
     /// Panics when `ns` is empty or contains `0`.
     pub fn expected_order_stats_sparse(&self, ns: &[usize], drop_k: usize) -> Vec<f64> {
-        self.assert_valid();
         assert!(!ns.is_empty(), "need at least one worker count");
-        match *self {
-            StragglerModel::LogNormalTail { mu, sigma } if sigma != 0.0 => {
-                let grid = LogNormalGrid::new(mu, sigma);
-                par::map(ns, |&n| {
-                    assert!(n >= 1, "need at least one draw");
-                    let k = drop_k.min(n - 1);
-                    if n > LOGNORMAL_ASYMPTOTIC_MIN_N {
-                        lognormal_order_stat_asymptotic(mu, sigma, n, k)
-                    } else {
-                        grid.expected_order_stat(n, k)
-                    }
-                })
-            }
-            _ => par::map(ns, |&n| self.expected_order_stat(n, drop_k.min(n - 1))),
-        }
+        let grid = OnceLock::new();
+        par::map(ns, |&n| {
+            assert!(n >= 1, "need at least one draw");
+            self.order_stat_on(&grid, n, drop_k.min(n - 1))
+        })
     }
 
     /// Expected barrier time `E[(n−k)-th order statistic of {b_i + X_i}]`:
@@ -872,7 +872,6 @@ impl StragglerModel {
             drop_k < n,
             "cannot drop all {n} workers (backup_k = {drop_k})"
         );
-        let homogeneous = bases.iter().all(|&b| b == bases[0]);
         if self.is_zero() {
             // Zero jitter: the barrier is the (n−k)-th smallest base,
             // computed without quadrature so the homogeneous case stays
@@ -884,10 +883,39 @@ impl StragglerModel {
             sorted.sort_by(f64::total_cmp);
             return Seconds::new(sorted[n - 1 - drop_k]);
         }
-        if homogeneous {
+        if all_equal(bases) {
             return Seconds::new(bases[0] + order_stat(n, drop_k));
         }
         Seconds::new(self.expected_barrier_hetero(bases, drop_k))
+    }
+
+    /// [`Self::expected_barrier_with`] over `n` workers that all share
+    /// the base time `base`, without building the `n`-element base
+    /// vector: `base` under zero jitter, else `base + E[X_(n−k)]` —
+    /// exactly the expressions the homogeneous branches return, so the
+    /// result is bit-identical to `expected_barrier_with(&vec![base; n],
+    /// …)` for every finite base. O(1) in `n` apart from the order
+    /// statistic itself.
+    ///
+    /// # Panics
+    /// Panics when `n == 0` or `drop_k >= n`.
+    fn uniform_barrier_with(
+        &self,
+        base: f64,
+        n: usize,
+        drop_k: usize,
+        order_stat: OrderStatFn,
+    ) -> Seconds {
+        self.assert_valid();
+        assert!(n >= 1, "need at least one worker");
+        assert!(
+            drop_k < n,
+            "cannot drop all {n} workers (backup_k = {drop_k})"
+        );
+        if self.is_zero() {
+            return Seconds::new(base);
+        }
+        Seconds::new(base + order_stat(n, drop_k))
     }
 
     /// Heterogeneous-base expected order statistic by quadrature:
@@ -939,71 +967,58 @@ impl StragglerModel {
     }
 }
 
+/// Whether every base time equals the first — the barrier's i.i.d. case.
+fn all_equal(bases: &[f64]) -> bool {
+    bases.iter().all(|&b| b == bases[0])
+}
+
 /// Clamp the drop-count to leave at least one worker standing.
 fn effective_k(backup_k: usize, n: usize) -> usize {
     backup_k.min(n.saturating_sub(1))
 }
 
-/// Precomputed order statistics for a sweep: dense (`t[n−1]` for
-/// `n ∈ 1..=n_max`, the historical layout) below
-/// [`DENSE_EVAL_MAX_N`], keyed by `n` above it — a 10⁶-worker ladder
-/// stores its few hundred rungs instead of a million entries.
-enum OrderStatTable {
-    Dense(Vec<f64>),
-    Sparse(HashMap<usize, f64>),
-}
-
-/// The shared-grid table for a sweep over `ns`, or `None` when the
-/// barrier path cannot consume it: zero jitter (the exact sorted-base
-/// path never asks for an order statistic) or heterogeneous bases (the
-/// Poisson-binomial quadrature is used instead). Homogeneity is probed
-/// at `n_max` — every `Heterogeneity` variant yields prefix-structured
-/// speed factors, so an all-equal widest profile implies all-equal
-/// narrower ones; a wrong probe only costs the fallback path, never
-/// correctness.
-fn order_stat_table(
+/// A fresh [`OrderStatCache`] holding every order statistic a sweep
+/// over `ns` reads, filled in one parallel shared-grid pass: dense
+/// `1..=n_max` up to [`DENSE_EVAL_MAX_N`], just the rungs of `ns` above
+/// it. It stays empty when the barrier path reads none: zero jitter
+/// (the exact sorted-base path) or heterogeneous bases (the
+/// Poisson-binomial quadrature). Homogeneity is probed at `n_max` —
+/// every `Heterogeneity` variant yields prefix-structured speed
+/// factors, so an all-equal widest profile implies all-equal narrower
+/// ones; a wrong probe only costs per-call misses, never correctness.
+fn sweep_cache(
     straggler: StragglerModel,
     backup_k: usize,
     ns: &[usize],
-    probe_bases: &[f64],
-) -> Option<OrderStatTable> {
-    let homogeneous = probe_bases.iter().all(|&b| b == probe_bases[0]);
-    if !homogeneous || straggler.is_zero() {
-        return None;
+    homogeneous_at: &dyn Fn(usize) -> bool,
+) -> OrderStatCache {
+    let cache = OrderStatCache::new(straggler);
+    if straggler.is_zero() {
+        return cache;
     }
-    // lint: allow(panic-free-lib): every caller collects a non-empty sweep before building the table
+    // lint: allow(panic-free-lib): every caller collects a non-empty sweep before filling the cache
     let n_max = ns.iter().copied().max().expect("non-empty sweep");
-    if n_max <= DENSE_EVAL_MAX_N {
-        Some(OrderStatTable::Dense(
-            straggler.expected_order_stats(n_max, backup_k),
-        ))
-    } else {
-        let values = straggler.expected_order_stats_sparse(ns, backup_k);
-        Some(OrderStatTable::Sparse(
-            ns.iter().copied().zip(values).collect(),
-        ))
+    if !homogeneous_at(n_max) {
+        return cache;
     }
+    if n_max <= DENSE_EVAL_MAX_N {
+        cache.warm(n_max, backup_k);
+    } else {
+        cache.warm_sparse(ns, backup_k);
+    }
+    cache
 }
 
-impl StragglerModel {
-    /// An order-statistic source reading from `table` when present and
-    /// falling back to the per-`n` quadrature otherwise — both
-    /// bit-identical to [`Self::expected_order_stat`]. A sparse-table
-    /// miss (e.g. a planner refinement probing between ladder rungs)
-    /// also falls back per-call.
-    fn order_stat_from<'a>(
-        &self,
-        table: &'a Option<OrderStatTable>,
-    ) -> impl Fn(usize, usize) -> f64 + 'a {
-        let model = *self;
-        move |n, k| match table {
-            Some(OrderStatTable::Dense(t)) => t[n - 1],
-            Some(OrderStatTable::Sparse(t)) => t
-                .get(&n)
-                .copied()
-                .unwrap_or_else(|| model.expected_order_stat(n, k)),
-            None => model.expected_order_stat(n, k),
-        }
+/// The ladder a planner evaluates: a dense ladder past
+/// [`DENSE_EVAL_MAX_N`] becomes [`Planner::DEFAULT_LOG_POINTS`]
+/// log-spaced rungs.
+fn planner_ladder(ladder: Ladder) -> Ladder {
+    match ladder {
+        Ladder::Dense(max_n) if max_n > DENSE_EVAL_MAX_N => Ladder::Log {
+            max_n,
+            points: Planner::DEFAULT_LOG_POINTS,
+        },
+        other => other,
     }
 }
 
@@ -1011,29 +1026,31 @@ impl StragglerModel {
 type OrderStatFn<'a> = &'a dyn Fn(usize, usize) -> f64;
 
 /// Sweep scaffolding shared by the straggler curve builders: collect the
-/// worker counts, build the shared-grid order-statistic table when the
-/// barrier path can consume it, and fan the per-`n` evaluations out
-/// across threads — bit-identical to a serial per-`n` loop.
+/// worker counts, fill a fresh order-statistic cache for them
+/// ([`sweep_cache`]), and fan the per-`n` evaluations out across
+/// threads — bit-identical to a serial per-`n` loop.
 fn sweep_curve(
     ns: impl IntoIterator<Item = usize>,
     straggler: StragglerModel,
     backup_k: usize,
-    probe_bases: &dyn Fn(usize) -> Vec<f64>,
+    homogeneous_at: &dyn Fn(usize) -> bool,
     time_via: &(dyn Fn(OrderStatFn, usize) -> Seconds + Sync),
 ) -> SpeedupCurve {
     let ns: Vec<usize> = ns.into_iter().collect();
     assert!(!ns.is_empty(), "need at least one worker count");
-    // lint: allow(panic-free-lib): the assert! above guarantees ns is non-empty
-    let n_max = ns.iter().copied().max().expect("non-empty");
-    let table = order_stat_table(straggler, backup_k, &ns, &probe_bases(n_max));
-    let times = par::map(&ns, |&n| time_via(&straggler.order_stat_from(&table), n));
+    let cache = sweep_cache(straggler, backup_k, &ns, homogeneous_at);
+    let times = par::map(&ns, |&n| {
+        time_via(&|n, k| cache.expected_order_stat(n, k), n)
+    });
     SpeedupCurve::from_samples(ns.into_iter().zip(times))
 }
 
 /// Per-model memo cache for expected order statistics, keyed on `(n, k)`.
 ///
-/// The batch sweep paths (curves, planner construction) already share
-/// one grid pass internally; this cache is for callers issuing repeated
+/// Every curve and planner reads its order statistics from one: the
+/// uncached ones from a fresh cache filled for their sweep, the
+/// `*_cached` ones from a caller-owned cache shared across models with
+/// one delay distribution. It also serves callers issuing repeated
 /// *ad-hoc* `expected_max`/`expected_barrier` queries — interactive
 /// what-if loops, custom sweeps over scenarios that revisit the same
 /// `(n, k)` pairs — where each distinct pair should hit the quadrature
@@ -1044,13 +1061,17 @@ fn sweep_curve(
 ///
 /// Cached values are bit-identical to uncached
 /// [`StragglerModel::expected_order_stat`] calls, so routing a hot path
-/// through the cache never changes a result.
+/// through the cache never changes a result. A log-normal cache builds
+/// its quadrature grid once, on the first sub-crossover miss, and every
+/// later miss and warm pass reuses it.
 ///
 /// The memo is `Mutex`-backed, so one cache can be shared across threads
 /// — `mlscale serve` keeps a process-wide cache per delay model and
 /// answers every request's order-statistic queries from it.
 pub struct OrderStatCache {
     model: StragglerModel,
+    /// The model's log-normal quadrature grid, built on first use.
+    grid: OnceLock<LogNormalGrid>,
     memo: Mutex<HashMap<(usize, usize), f64>>,
     /// `(drop_k, n_max)` warm passes already taken, so a shared cache
     /// skips redundant batch quadratures across requests.
@@ -1062,6 +1083,7 @@ impl OrderStatCache {
     pub fn new(model: StragglerModel) -> Self {
         Self {
             model,
+            grid: OnceLock::new(),
             memo: Mutex::new(HashMap::new()),
             warmed: Mutex::new(Vec::new()),
         }
@@ -1108,12 +1130,42 @@ impl OrderStatCache {
             });
             warmed.push((drop_k, n_max));
         }
-        let table = self.model.expected_order_stats(n_max, drop_k);
+        let table = self.model.order_stats_on(&self.grid, n_max, drop_k);
         let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
         for (i, &v) in table.iter().enumerate() {
             let n = i + 1;
             memo.insert((n, drop_k.min(n - 1)), v);
         }
+    }
+
+    /// Fills `(n, drop_k.min(n−1))` for every `n` in `ns` that the memo
+    /// does not hold yet, fanned out across threads over the cache's
+    /// shared grid — the sparse companion to [`Self::warm`] for
+    /// log-spaced ladders, which must not pay a dense `1..=max_n` pass.
+    /// Returns how many order statistics it computed: re-warming a warm
+    /// ladder computes none.
+    ///
+    /// # Panics
+    /// Panics when `ns` contains `0`.
+    pub fn warm_sparse(&self, ns: &[usize], drop_k: usize) -> usize {
+        let mut missing: Vec<(usize, usize)> = {
+            let memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
+            ns.iter()
+                .map(|&n| {
+                    assert!(n >= 1, "need at least one draw");
+                    (n, drop_k.min(n - 1))
+                })
+                .filter(|key| !memo.contains_key(key))
+                .collect()
+        };
+        missing.sort_unstable();
+        missing.dedup();
+        let values = par::map(&missing, |&(n, k)| {
+            self.model.order_stat_on(&self.grid, n, k)
+        });
+        let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
+        memo.extend(missing.iter().copied().zip(values));
+        missing.len()
     }
 
     /// Memoised [`StragglerModel::expected_order_stat`].
@@ -1126,7 +1178,7 @@ impl OrderStatCache {
         {
             return v;
         }
-        let v = self.model.expected_order_stat(n, k);
+        let v = self.model.order_stat_on(&self.grid, n, k);
         self.memo
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -1222,36 +1274,58 @@ impl StragglerGdModel {
         }
     }
 
-    /// Per-worker compute-phase base times for an even strong-scaling
-    /// split of the batch across `n` workers.
-    fn strong_bases(&self, n: usize) -> Vec<f64> {
-        let even = self.inner.strong_comp_time(n).as_secs();
+    /// Compute-phase time of one nominal-speed worker under an even
+    /// strong-scaling split of the batch across `n` workers.
+    fn strong_base(&self, n: usize) -> f64 {
+        self.inner.strong_comp_time(n).as_secs()
+    }
+
+    /// Compute-phase time of one nominal-speed worker on a full
+    /// per-worker batch (weak scaling).
+    fn weak_base(&self) -> f64 {
+        (self.inner.cost_per_example * self.inner.batch_size / self.inner.cluster.flops()).as_secs()
+    }
+
+    /// Per-worker base times `base / s_i` over the heterogeneity's speed
+    /// factors for `n` workers.
+    fn bases(&self, base: f64, n: usize) -> Vec<f64> {
         self.hetero
             .speed_factors(&self.inner.cluster, n)
             .into_iter()
-            .map(|s| even / s)
+            .map(|s| base / s)
             .collect()
     }
 
-    /// Per-worker compute-phase base times for weak scaling (every worker
-    /// keeps a full per-worker batch).
-    fn weak_bases(&self, n: usize) -> Vec<f64> {
-        let per_worker = (self.inner.cost_per_example * self.inner.batch_size
-            / self.inner.cluster.flops())
-        .as_secs();
-        self.hetero
-            .speed_factors(&self.inner.cluster, n)
-            .into_iter()
-            .map(|s| per_worker / s)
-            .collect()
+    /// Whether the `n`-worker base profile is all-equal — the probe
+    /// [`sweep_cache`] takes. A uniform cluster answers without building
+    /// the profile.
+    fn homogeneous_at(&self, n: usize) -> bool {
+        matches!(self.hetero, Heterogeneity::Uniform)
+            || all_equal(&self.bases(self.strong_base(n), n))
+    }
+
+    /// Expected compute-phase barrier at `n` workers of nominal base time
+    /// `base`, the homogeneous order-statistic term from `order_stat`. A
+    /// uniform cluster takes the O(1)
+    /// [`StragglerModel::uniform_barrier_with`] path; other profiles
+    /// materialise their `n` base times.
+    fn barrier_via(&self, base: f64, n: usize, order_stat: OrderStatFn) -> Seconds {
+        let k = effective_k(self.backup_k, n);
+        if matches!(self.hetero, Heterogeneity::Uniform) {
+            self.straggler.uniform_barrier_with(base, n, k, order_stat)
+        } else {
+            self.straggler
+                .expected_barrier_with(&self.bases(base, n), k, order_stat)
+        }
     }
 
     /// Expected compute-phase barrier time at `n` workers (strong
     /// scaling): `E[(n−k)-th order stat of {t_cp/s_i + X_i}]`.
     pub fn expected_strong_comp_time(&self, n: usize) -> Seconds {
         assert!(n >= 1);
-        self.straggler
-            .expected_barrier(&self.strong_bases(n), effective_k(self.backup_k, n))
+        self.barrier_via(self.strong_base(n), n, &|n, k| {
+            self.straggler.expected_order_stat(n, k)
+        })
     }
 
     /// Expected strong-scaling iteration time
@@ -1264,9 +1338,9 @@ impl StragglerGdModel {
     /// Expected weak-scaling iteration time.
     pub fn expected_weak_iteration_time(&self, n: usize) -> Seconds {
         assert!(n >= 1);
-        let barrier = self
-            .straggler
-            .expected_barrier(&self.weak_bases(n), effective_k(self.backup_k, n));
+        let barrier = self.barrier_via(self.weak_base(), n, &|n, k| {
+            self.straggler.expected_order_stat(n, k)
+        });
         barrier + self.inner.comm_time(n)
     }
 
@@ -1276,36 +1350,18 @@ impl StragglerGdModel {
     }
 
     /// Strong-scaling iteration time with the homogeneous order-statistic
-    /// term served from a caller-supplied source (shared-grid table or
-    /// memo) — bit-identical to [`Self::expected_strong_iteration_time`].
-    fn strong_iteration_time_via(
-        &self,
-        order_stat: &dyn Fn(usize, usize) -> f64,
-        n: usize,
-    ) -> Seconds {
+    /// term served from a caller-supplied source (an [`OrderStatCache`])
+    /// — bit-identical to [`Self::expected_strong_iteration_time`].
+    fn strong_iteration_time_via(&self, order_stat: OrderStatFn, n: usize) -> Seconds {
         assert!(n >= 1);
-        let barrier = self.straggler.expected_barrier_with(
-            &self.strong_bases(n),
-            effective_k(self.backup_k, n),
-            order_stat,
-        );
-        barrier + self.inner.comm_time(n)
+        self.barrier_via(self.strong_base(n), n, order_stat) + self.inner.comm_time(n)
     }
 
     /// Weak-scaling per-instance time via a caller-supplied
     /// order-statistic source.
-    fn weak_per_instance_time_via(
-        &self,
-        order_stat: &dyn Fn(usize, usize) -> f64,
-        n: usize,
-    ) -> Seconds {
+    fn weak_per_instance_time_via(&self, order_stat: OrderStatFn, n: usize) -> Seconds {
         assert!(n >= 1);
-        let barrier = self.straggler.expected_barrier_with(
-            &self.weak_bases(n),
-            effective_k(self.backup_k, n),
-            order_stat,
-        );
-        (barrier + self.inner.comm_time(n)) / n as f64
+        (self.barrier_via(self.weak_base(), n, order_stat) + self.inner.comm_time(n)) / n as f64
     }
 
     /// Expected strong-scaling speedup curve over `ns`.
@@ -1320,7 +1376,7 @@ impl StragglerGdModel {
             ns,
             self.straggler,
             self.backup_k,
-            &|n| self.strong_bases(n),
+            &|n| self.homogeneous_at(n),
             &|os, n| self.strong_iteration_time_via(os, n),
         )
     }
@@ -1332,7 +1388,7 @@ impl StragglerGdModel {
             ns,
             self.straggler,
             self.backup_k,
-            &|n| self.weak_bases(n),
+            &|n| self.homogeneous_at(n),
             &|os, n| self.weak_per_instance_time_via(os, n),
         )
     }
@@ -1364,31 +1420,14 @@ impl StragglerGdModel {
     /// automatically routes to [`Self::planner_log`] with
     /// [`Planner::DEFAULT_LOG_POINTS`] rungs.
     pub fn planner(&self, iterations: f64, max_n: usize, pricing: Pricing) -> Planner {
-        if max_n > DENSE_EVAL_MAX_N {
-            return self.planner_log(iterations, max_n, pricing, Planner::DEFAULT_LOG_POINTS);
-        }
-        let ns: Vec<usize> = (1..=max_n).collect();
-        let table = order_stat_table(
-            self.straggler,
-            self.backup_k,
-            &ns,
-            &self.strong_bases(max_n),
-        );
-        Planner::new_par(
-            move |n| {
-                self.strong_iteration_time_via(&self.straggler.order_stat_from(&table), n)
-                    * iterations
-            },
-            max_n,
-            pricing,
-        )
+        self.planner_fresh(iterations, Ladder::Dense(max_n), pricing)
     }
 
     /// [`Self::planner`] over a log-spaced candidate ladder
     /// ([`Planner::new_log`]): O(`points`) expected-time evaluations —
     /// the ladder's order statistics from one sparse shared-grid pass,
-    /// refinement probes served per-call — so all four planner verbs at
-    /// `max_n = 10⁶` answer in well under a second.
+    /// refinement probes computed on demand — so all four planner verbs
+    /// at `max_n = 10⁶` answer in well under a second.
     pub fn planner_log(
         &self,
         iterations: f64,
@@ -1396,22 +1435,50 @@ impl StragglerGdModel {
         pricing: Pricing,
         points: usize,
     ) -> Planner {
-        let ns = log_spaced_ns(max_n, points);
-        let table = order_stat_table(
+        self.planner_fresh(iterations, Ladder::Log { max_n, points }, pricing)
+    }
+
+    /// [`Self::planner`] / [`Self::planner_log`] over `ladder` with the
+    /// order statistics served from a caller-owned [`OrderStatCache`] —
+    /// the one the same ladder's curve already filled
+    /// ([`Self::strong_curve_cached`]), so a sweep point computes each
+    /// order statistic once for its curve and its planner together.
+    /// Refinement probes between rungs are memoised in the cache.
+    /// Bit-identical to the uncached planners; a dense ladder past
+    /// [`DENSE_EVAL_MAX_N`] routes to [`Planner::DEFAULT_LOG_POINTS`]
+    /// rungs, as [`Self::planner`] does.
+    ///
+    /// # Panics
+    /// Panics when the cache was built for a different delay model.
+    pub fn planner_cached(
+        &self,
+        iterations: f64,
+        ladder: Ladder,
+        pricing: Pricing,
+        cache: &OrderStatCache,
+    ) -> Planner {
+        assert_eq!(
+            cache.model(),
             self.straggler,
-            self.backup_k,
-            &ns,
-            &self.strong_bases(max_n),
+            "OrderStatCache was built for a different straggler model"
         );
-        Planner::new_log(
-            move |n| {
-                self.strong_iteration_time_via(&self.straggler.order_stat_from(&table), n)
-                    * iterations
-            },
-            max_n,
-            pricing,
-            points,
-        )
+        let time = |n| {
+            self.strong_iteration_time_via(&|n, k| cache.expected_order_stat(n, k), n) * iterations
+        };
+        match planner_ladder(ladder) {
+            Ladder::Dense(max_n) => Planner::new_par(time, max_n, pricing),
+            Ladder::Log { max_n, points } => Planner::new_log(time, max_n, pricing, points),
+        }
+    }
+
+    /// A planner over `ladder` with its own order-statistic cache — the
+    /// uncached planners' one body.
+    fn planner_fresh(&self, iterations: f64, ladder: Ladder, pricing: Pricing) -> Planner {
+        let ladder = planner_ladder(ladder);
+        let cache = sweep_cache(self.straggler, self.backup_k, &ladder.ns(), &|n| {
+            self.homogeneous_at(n)
+        });
+        self.planner_cached(iterations, ladder, pricing, &cache)
     }
 
     /// Expected strong-scaling curve with the homogeneous order-statistic
@@ -1424,7 +1491,8 @@ impl StragglerGdModel {
     /// distinct `(n, k)` quadrature runs once for the whole grid instead
     /// of once per grid point. Warm the cache first
     /// ([`OrderStatCache::warm`]) to fill a whole `1..=n_max` sweep in a
-    /// single shared-grid pass.
+    /// single shared-grid pass, or ([`OrderStatCache::warm_sparse`]) to
+    /// fill a log ladder's rungs in parallel.
     ///
     /// # Panics
     /// Panics when the cache was built for a different delay model.
@@ -1452,9 +1520,11 @@ impl StragglerGdModel {
 
     /// Shared scaffolding for the cache-served curves. The per-`n`
     /// evaluations run serially here — after a [`OrderStatCache::warm`]
-    /// for this sweep's `(n_max, backup_k)` every lookup is a memo hit
-    /// and the loop is dominated by the (cheap) communication-model
-    /// evaluations, so fanning out would only add lock traffic.
+    /// for this sweep's `(n_max, backup_k)` (or an
+    /// [`OrderStatCache::warm_sparse`] over its log ladder) every lookup
+    /// is a memo hit and the loop is dominated by the (cheap)
+    /// communication-model evaluations, so fanning out would only add
+    /// lock traffic.
     fn curve_cached(
         &self,
         ns: impl IntoIterator<Item = usize>,
@@ -1558,7 +1628,7 @@ impl StragglerGraphModel {
             ns,
             self.straggler,
             self.backup_k,
-            &|n| self.bases(n),
+            &|n| all_equal(&self.bases(n)),
             &|os, n| {
                 let barrier = self.straggler.expected_barrier_with(
                     &self.bases(n),
@@ -1578,7 +1648,7 @@ mod tests {
     use crate::models::gd::GdComm;
     use crate::units::FlopCount;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn fig2_model() -> GradientDescentModel {
         GradientDescentModel {
@@ -2236,6 +2306,65 @@ mod tests {
         // And the memo still answers bit-identically after pruning.
         let direct = cache.model().expected_order_stat(4, 2);
         assert_eq!(cache.expected_order_stat(4, 2).to_bits(), direct.to_bits());
+    }
+
+    #[test]
+    fn lognormal_cache_is_bit_identical_to_per_call_through_both_seams() {
+        // The cache builds one quadrature grid and reuses it for every
+        // warm pass and miss; each value must still equal a per-call
+        // expected_order_stat (which builds its own grid) bit for bit,
+        // on both sides of the coefficient-loop and asymptotic seams.
+        let mut rng = StdRng::seed_from_u64(0xCAC4E);
+        let seams = [
+            LOGNORMAL_COEFF_LOOP_MAX_N - 1,
+            LOGNORMAL_COEFF_LOOP_MAX_N,
+            LOGNORMAL_COEFF_LOOP_MAX_N + 1,
+            LOGNORMAL_ASYMPTOTIC_MIN_N - 1,
+            LOGNORMAL_ASYMPTOTIC_MIN_N,
+            LOGNORMAL_ASYMPTOTIC_MIN_N + 1,
+        ];
+        for _ in 0..3 {
+            let model = StragglerModel::LogNormalTail {
+                mu: rng.gen_range(-4.0..1.0),
+                sigma: rng.gen_range(0.1..1.8),
+            };
+            let drop_k = rng.gen_range(0..5usize);
+            let mut ladder: Vec<usize> = vec![1, 2, 1_000_000];
+            ladder.extend(seams);
+            ladder.extend((0..4).map(|_| rng.gen_range(3..40_000usize)));
+            let exact = |n: usize, k: usize| model.expected_order_stat(n, k).to_bits();
+
+            // Warmed: a sparse pass over the ladder, plus a dense pass
+            // across the coefficient-loop seam.
+            let cache = OrderStatCache::new(model);
+            let mut distinct = ladder.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(cache.warm_sparse(&ladder, drop_k), distinct.len());
+            cache.warm(LOGNORMAL_COEFF_LOOP_MAX_N + 1, drop_k);
+            for &n in ladder.iter().chain(&[LOGNORMAL_COEFF_LOOP_MAX_N - 1]) {
+                let k = drop_k.min(n - 1);
+                assert_eq!(
+                    cache.expected_order_stat(n, k).to_bits(),
+                    exact(n, k),
+                    "{model:?} warmed n={n} k={k}"
+                );
+            }
+            // Re-warming an already-warm ladder computes nothing.
+            assert_eq!(cache.warm_sparse(&ladder, drop_k), 0);
+
+            // Misses: a cold cache computes each value on first query.
+            let cold = OrderStatCache::new(model);
+            for &n in &seams {
+                for k in [0, drop_k.min(n - 1), n / 2] {
+                    assert_eq!(
+                        cold.expected_order_stat(n, k).to_bits(),
+                        exact(n, k),
+                        "{model:?} miss n={n} k={k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use mlscale_core::models::graphinf::{
     bp_cost_per_edge, max_edges_monte_carlo, EdgeLoad, GraphInferenceModel,
 };
 use mlscale_core::planner::Pricing;
-use mlscale_core::speedup::log_spaced_ns;
+use mlscale_core::speedup::Ladder;
 use mlscale_core::straggler::{OrderStatCache, OrderStatCachePool};
 use mlscale_core::units::{BitsPerSec, FlopsRate, Seconds};
 use mlscale_core::{par, SpeedupCurve};
@@ -266,8 +266,12 @@ fn eval_gd_pending(
     // Stochastic points: group by delay distribution, one shared
     // order-statistic cache per distinct distribution (drawn from the
     // caller's pool, so a daemon reuses them across requests). Each
-    // distinct backup_k in a group gets one shared-grid warm pass sized
-    // to the group's widest sweep; every curve then reads memo hits.
+    // distinct backup_k in a group gets one parallel warm pass over the
+    // group's ladders: a dense shared-grid pass sized to the widest dense
+    // sweep, and a sparse pass over the union of the log ladders' rungs
+    // the cache does not hold yet (a dense 1..=max_n pass at extreme
+    // scale is exactly the O(max_n) cost the ladder avoids). Every curve
+    // and planner then reads memo hits.
     let mut stochastic: Vec<usize> = pending
         .iter()
         .copied()
@@ -280,22 +284,26 @@ fn eval_gd_pending(
             .partition(|&&i| gds[i].straggler_model() == model);
         stochastic = rest;
         let cache = pool.cache_for(model);
-        let mut warmed: Vec<(usize, usize)> = Vec::new(); // (backup_k, n_max)
+        let mut dense: Vec<(usize, usize)> = Vec::new(); // (backup_k, n_max)
+        let mut sparse: Vec<(usize, Vec<usize>)> = Vec::new(); // (backup_k, rungs)
         for &i in &group {
             let gd = gds[i];
-            // Log-spaced points skip the dense warm pass: warming 1..=max_n
-            // at extreme scale is exactly the O(max_n) cost the ladder
-            // avoids, and per-call memoisation covers the few rungs touched.
-            if gd.log_points.is_some() {
-                continue;
-            }
-            match warmed.iter_mut().find(|(k, _)| *k == gd.backup_k) {
-                Some((_, n_max)) => *n_max = (*n_max).max(gd.max_n),
-                None => warmed.push((gd.backup_k, gd.max_n)),
+            match gd.ladder() {
+                Ladder::Dense(max_n) => match dense.iter_mut().find(|(k, _)| *k == gd.backup_k) {
+                    Some((_, n_max)) => *n_max = (*n_max).max(max_n),
+                    None => dense.push((gd.backup_k, max_n)),
+                },
+                ladder => match sparse.iter_mut().find(|(k, _)| *k == gd.backup_k) {
+                    Some((_, ns)) => ns.extend(ladder.ns()),
+                    None => sparse.push((gd.backup_k, ladder.ns())),
+                },
             }
         }
-        for &(backup_k, n_max) in &warmed {
+        for &(backup_k, n_max) in &dense {
             cache.warm(n_max, backup_k);
+        }
+        for (backup_k, ns) in &sparse {
+            cache.warm_sparse(ns, *backup_k);
         }
         for &i in &group {
             sink(i, eval_gd(spec, &grid[i], gds[i], Some(&cache))?)?;
@@ -311,10 +319,8 @@ fn eval_gd(
     cache: Option<&OrderStatCache>,
 ) -> Result<ExperimentResult, SpecError> {
     let model = gd.build()?;
-    let ns: Vec<usize> = match gd.log_points {
-        Some(points) => log_spaced_ns(gd.max_n, points),
-        None => (1..=gd.max_n).collect(),
-    };
+    let ladder = gd.ladder();
+    let ns = ladder.ns();
     let curve = match (gd.weak, cache) {
         (false, Some(cache)) => model.strong_curve_cached(ns, cache),
         (false, None) => model.strong_curve(ns),
@@ -329,10 +335,14 @@ fn eval_gd(
     result = with_curve(result, &curve)?;
     if let Some(plan) = &gd.plan {
         let pricing = Pricing::hourly(plan.price);
-        let planner = match gd.log_points {
-            Some(points) => model.planner_log(plan.iterations, gd.max_n, pricing, points),
-            None => model.planner(plan.iterations, gd.max_n, pricing),
-        };
+        // The planner reads the curve's cache; a deterministic point has
+        // none, and an empty one is never queried at zero jitter.
+        let planner = model.planner_cached(
+            plan.iterations,
+            ladder,
+            pricing,
+            cache.unwrap_or(&OrderStatCache::new(model.straggler)),
+        );
         let fastest = planner.fastest();
         let cheapest = planner.cheapest();
         result = result

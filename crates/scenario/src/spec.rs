@@ -11,7 +11,7 @@
 
 use mlscale_core::hardware::{presets, ClusterSpec, Heterogeneity, LinkSpec, NodeSpec, RackSpec};
 use mlscale_core::models::gd::{GdComm, GradientDescentModel};
-use mlscale_core::speedup::DENSE_EVAL_MAX_N;
+use mlscale_core::speedup::{Ladder, DENSE_EVAL_MAX_N};
 use mlscale_core::straggler::{StragglerGdModel, StragglerModel};
 use mlscale_core::units::{BitsPerSec, FlopCount, FlopsRate, Seconds};
 use serde::Value;
@@ -1312,6 +1312,18 @@ impl GdSpec {
             }
         }
         Ok(())
+    }
+
+    /// The worker counts this point evaluates: the log ladder when
+    /// `log_points` is set, else `1..=max_n`.
+    pub fn ladder(&self) -> Ladder {
+        match self.log_points {
+            Some(points) => Ladder::Log {
+                max_n: self.max_n,
+                points,
+            },
+            None => Ladder::Dense(self.max_n),
+        }
     }
 
     /// The straggler model (deterministic when unspecified).

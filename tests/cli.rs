@@ -622,6 +622,17 @@ fn sweep_rejects_unknown_field_naming_its_path() {
 }
 
 #[test]
+fn deeply_nested_json_exits_2_instead_of_overflowing_the_stack() {
+    // 200 KB of `[` once recursed the parser into a stack overflow
+    // (exit 134); it must be a named rejection like any malformed spec.
+    assert_rejected(
+        "deep-nesting",
+        &"[".repeat(200_000),
+        "nesting depth exceeds the limit of 128",
+    );
+}
+
+#[test]
 fn sweep_rejects_negative_n_naming_the_key() {
     assert_rejected(
         "negative-n",

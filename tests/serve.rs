@@ -315,6 +315,26 @@ fn malformed_specs_get_400_naming_the_key_path() {
 }
 
 #[test]
+fn deeply_nested_body_gets_400_and_the_daemon_keeps_serving() {
+    // 200 KB of `[` once overflowed the parser's stack and killed the
+    // whole daemon; it must be a named 400, and the next request must
+    // still be answered.
+    let server = Server::spawn("2");
+    let reply = post(&server.addr, "/sweep", &"[".repeat(200_000));
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    assert!(
+        reply
+            .body
+            .contains("nesting depth exceeds the limit of 128"),
+        "400 body must name the depth limit, got {}",
+        reply.body
+    );
+    let spec = std::fs::read_to_string("scenarios/fig2.json").expect("fig2");
+    let next = post(&server.addr, "/sweep", &spec);
+    assert_eq!(next.status, 200, "{}", next.body);
+}
+
+#[test]
 fn unknown_paths_and_methods_are_rejected() {
     let server = Server::spawn("1");
     let reply = post(&server.addr, "/train", "{}");
