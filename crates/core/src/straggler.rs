@@ -78,6 +78,18 @@ pub enum StragglerModel {
 /// Standard normal CDF via the Abramowitz–Stegun 7.1.26 erf expansion
 /// (|error| < 1.5·10⁻⁷, monotone — ample for 5 %-level cross-validation).
 fn normal_cdf(z: f64) -> f64 {
+    let (sign, x, poly) = erf_expansion(z);
+    let erf = 1.0 - poly * (-x * x).exp();
+    0.5 * (1.0 + sign * erf)
+}
+
+/// The Abramowitz–Stegun 7.1.26 expansion at `x = z/√2` before its
+/// `e^{−x²}` factor: `(sign of x, |x|, poly(t))` with
+/// `t = 1/(1 + 0.3275911·|x|)`. The one body behind [`normal_cdf`],
+/// [`normal_cdf_sf`] and [`normal_cdf_sf_lanes`], so all of them perform
+/// the same operations on the same operands.
+#[inline(always)]
+fn erf_expansion(z: f64) -> (f64, f64, f64) {
     let x = z / std::f64::consts::SQRT_2;
     let (sign, x) = if x < 0.0 { (-1.0, -x) } else { (1.0, x) };
     let t = 1.0 / (1.0 + 0.327_591_1 * x);
@@ -85,8 +97,7 @@ fn normal_cdf(z: f64) -> f64 {
         * (0.254_829_592
             + t * (-0.284_496_736
                 + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
-    let erf = 1.0 - poly * (-x * x).exp();
-    0.5 * (1.0 + sign * erf)
+    (sign, x, poly)
 }
 
 /// Term count up to which [`HarmonicSum`] accumulates with the plain
@@ -179,24 +190,67 @@ fn harmonic_any(j: usize) -> f64 {
     }
 }
 
-/// Survival function `1 − Φ(z)` of the standard normal, computed from
-/// the same Abramowitz–Stegun 7.1.26 expansion as [`normal_cdf`] but
-/// *directly* for `z ≥ 0` — `0.5·poly(t)·e^{−x²}` — so `ln(1 − Φ(z))`
-/// at large `z` never passes through the catastrophic `1 − (≈1)`
-/// cancellation. Only the extreme-value asymptotic paths use it; the
-/// exact grid keeps the historical `1 − Φ` arithmetic bit-for-bit.
-fn normal_sf(z: f64) -> f64 {
-    if z < 0.0 {
-        return 1.0 - normal_cdf(z);
-    }
-    let x = z / std::f64::consts::SQRT_2;
-    let t = 1.0 / (1.0 + 0.327_591_1 * x);
-    let poly = t
-        * (0.254_829_592
-            + t * (-0.284_496_736
-                + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
-    0.5 * poly * (-x * x).exp()
+/// `(Φ(z), 1 − Φ(z))` of the standard normal from one shared
+/// Abramowitz–Stegun 7.1.26 expansion: one division, one polynomial and
+/// one `e^{−x²}` serve both halves.
+///
+/// The first half is [`normal_cdf`] operation for operation. The
+/// survival half is computed *directly* for `z ≥ 0` —
+/// `0.5·poly(t)·e^{−x²}` — so `ln(1 − Φ(z))` at large `z` never passes
+/// through the catastrophic `1 − (≈1)` cancellation; below zero it is
+/// `1 − Φ(z)`. Only the extreme-value asymptotic path uses it; the exact
+/// grid keeps the historical `1 − Φ` arithmetic bit-for-bit.
+fn normal_cdf_sf(z: f64) -> (f64, f64) {
+    let (sign, x, poly) = erf_expansion(z);
+    cdf_sf_halves(z, sign, poly, (-x * x).exp())
 }
+
+/// Both halves of [`normal_cdf_sf`] from its expansion and its
+/// `tail = e^{−x²}`.
+#[inline(always)]
+fn cdf_sf_halves(z: f64, sign: f64, poly: f64, tail: f64) -> (f64, f64) {
+    let cdf = 0.5 * (1.0 + sign * (1.0 - poly * tail));
+    let sf = if z < 0.0 {
+        1.0 - cdf
+    } else {
+        0.5 * poly * tail
+    };
+    (cdf, sf)
+}
+
+/// Points per structure-of-arrays chunk in the quadrature kernels
+/// ([`powi_lanes`], [`normal_cdf_sf_lanes`]): small enough that the
+/// chunk buffers stay in L1, large enough to amortise the loop set-up.
+const LANES: usize = 64;
+
+/// [`normal_cdf_sf`] for every lane of `z` (at most [`LANES`]),
+/// written to `cdf` and `sf`. The same operations on the same operands,
+/// in three passes: the division and the polynomial lane by lane (they
+/// vectorise), the `exp` calls back to back, then the two halves. Every
+/// lane is bit-identical to a [`normal_cdf_sf`] call.
+fn normal_cdf_sf_lanes(z: &[f64], cdf: &mut [f64], sf: &mut [f64]) {
+    let mut sign = [0.0f64; LANES];
+    let mut x = [0.0f64; LANES];
+    let mut poly = [0.0f64; LANES];
+    let mut tail = [0.0f64; LANES];
+    for (i, &z) in z.iter().enumerate() {
+        (sign[i], x[i], poly[i]) = erf_expansion(z);
+    }
+    for (t, &x) in tail.iter_mut().zip(&x).take(z.len()) {
+        *t = (-x * x).exp();
+    }
+    for (i, &z) in z.iter().enumerate() {
+        (cdf[i], sf[i]) = cdf_sf_halves(z, sign[i], poly[i], tail[i]);
+    }
+}
+
+/// Exponents below which `f64::exp` returns exactly `+0.0`: the
+/// smallest subnormal is `e^{−744.44}`, and everything below
+/// `ln(2^−1075) ≈ −745.13` rounds to zero. The quadrature kernels skip a
+/// term whose log-space exponent is below this bound — the term would
+/// have been `+0.0`, and adding `+0.0` to a non-negative Simpson sum
+/// leaves it unchanged, so the skip is bit-identical.
+const EXP_UNDERFLOW: f64 = -746.0;
 
 /// The Euler–Mascheroni constant γ — the Gumbel limit's mean, and the
 /// constant term of the harmonic asymptotic `H_j = ln j + γ + …`.
@@ -288,20 +342,76 @@ fn inv_normal_cdf(p: f64) -> f64 {
 }
 
 /// The log-normal order-statistic quadrature grid, with the per-point
-/// transcendentals (`Φ(z)`, `e^{μ+σz}`, `φ(z)`) evaluated once and shared
-/// across every `(n, k)` the grid is queried for. The per-query Simpson
-/// sum repeats the serial path's arithmetic operation for operation —
-/// only the transcendental evaluations are hoisted — so each query is
-/// bit-identical to an inline per-`n` integration.
+/// transcendentals (`Φ(z)`, `1 − Φ(z)`, their logarithms, `e^{μ+σz}`,
+/// `φ(z)`) evaluated once and shared across every `(n, k)` the grid is
+/// queried for. The per-query Simpson sum repeats the serial path's
+/// arithmetic operation for operation — only the transcendental
+/// evaluations are hoisted — so each query is bit-identical to an inline
+/// per-`n` integration.
+///
+/// The log-space path skips the `exp` of a term whose exponent is below
+/// [`EXP_UNDERFLOW`] when its co-factors `e^{μ+σz}` and `φ(z)` are
+/// finite: such a term is exactly `+0.0`, and the Simpson sum keeps its
+/// index order and weights, so the skip cannot change a bit.
 struct LogNormalGrid {
     /// `Φ(z_i)` at each grid point.
     phi: Vec<f64>,
+    /// `1 − Φ(z_i)`, by the historical subtraction.
+    sf: Vec<f64>,
+    /// `ln Φ(z_i)` (`−∞` where `Φ = 0`).
+    ln_phi: Vec<f64>,
+    /// `ln(1 − Φ(z_i))` (`−∞` where `1 − Φ = 0`).
+    ln_sf: Vec<f64>,
     /// `e^{μ+σ·z_i}` at each grid point.
     exp_term: Vec<f64>,
     /// Standard normal density `φ(z_i)` at each grid point.
     density: Vec<f64>,
     /// Simpson step width `h = (hi − lo)/steps`.
     h: f64,
+}
+
+/// The largest `c` found for which `c.powi(e)` is `+0.0` (`−1` for
+/// `e = 0`, where every power is `1`). Every step of `powi`'s
+/// square-and-multiply rounds a product of non-negative numbers, which is
+/// monotone, so `x.powi(e)` is non-decreasing in `x ≥ 0`: every
+/// `0 ≤ x ≤ c` also gives exactly `+0.0`.
+fn powi_zero_below(e: u32) -> f64 {
+    if e == 0 {
+        return -1.0;
+    }
+    // x^e < 2^−1075 rounds to zero; start at that edge and halve until
+    // the computed power confirms it (0^e = 0 ends the loop).
+    let mut c = (-1076.0 / f64::from(e)).exp2();
+    while c.powi(e as i32) != 0.0 {
+        c *= 0.5;
+    }
+    c
+}
+
+/// `xs[i].powi(e)` for every lane, by exactly the square-and-multiply
+/// sequence of `__powidf2` (the runtime routine behind `f64::powi`):
+/// starting from `r = 1`, multiply `r` by the running square whenever
+/// the exponent's low bit is set, then square. Every lane shares the
+/// one exponent, so the branches are uniform and the lane loops
+/// vectorise, and each lane's result is bit-identical to `f64::powi`.
+fn powi_lanes(xs: &mut [f64; LANES], e: u32) {
+    let mut r = [1.0f64; LANES];
+    let mut e = e;
+    loop {
+        if e & 1 == 1 {
+            for (r, &x) in r.iter_mut().zip(xs.iter()) {
+                *r *= x;
+            }
+        }
+        e >>= 1;
+        if e == 0 {
+            break;
+        }
+        for x in xs.iter_mut() {
+            *x *= *x;
+        }
+    }
+    *xs = r;
 }
 
 impl LogNormalGrid {
@@ -331,6 +441,9 @@ impl LogNormalGrid {
         // per call — they must not allocate a thread team each time. The
         // batch path parallelises across the per-`n` Simpson sums instead.
         let phi: Vec<f64> = zs.iter().map(|&z| normal_cdf(z)).collect();
+        let sf: Vec<f64> = phi.iter().map(|&p| 1.0 - p).collect();
+        let ln_phi: Vec<f64> = phi.iter().map(|&p| p.ln()).collect();
+        let ln_sf: Vec<f64> = sf.iter().map(|&q| q.ln()).collect();
         let exp_term: Vec<f64> = zs.iter().map(|&z| (mu + sigma * z).exp()).collect();
         let density: Vec<f64> = zs
             .iter()
@@ -338,6 +451,9 @@ impl LogNormalGrid {
             .collect();
         Self {
             phi,
+            sf,
+            ln_phi,
+            ln_sf,
             exp_term,
             density,
             h,
@@ -354,6 +470,10 @@ impl LogNormalGrid {
     /// (`C(1024, 512)·512` is already `inf`, and `inf·0` poisons the
     /// integrand with NaNs), so the whole integrand moves to log-space
     /// with a [`ln_gamma`]-based coefficient.
+    ///
+    /// The powers are taken a chunk of grid points at a time by
+    /// [`powi_lanes`], which repeats `f64::powi` bit for bit; each term is
+    /// then added to the Simpson sum in the serial index order.
     fn expected_order_stat(&self, n: usize, k: usize) -> f64 {
         if n > LOGNORMAL_COEFF_LOOP_MAX_N {
             return self.expected_order_stat_log_coeff(n, k);
@@ -363,20 +483,61 @@ impl LogNormalGrid {
         for j in 1..=k {
             coeff *= (n - j + 1) as f64 / j as f64;
         }
+        let (e_phi, e_sf) = (m as u32 - 1, k as u32);
         let steps = self.phi.len() - 1;
-        let integrand = |i: usize| {
-            coeff
-                * self.exp_term[i]
-                * self.phi[i].powi(m as i32 - 1)
-                * (1.0 - self.phi[i]).powi(k as i32)
-                * self.density[i]
+        let term = |i: usize, phi_pow: f64, sf_pow: f64| {
+            coeff * self.exp_term[i] * phi_pow * sf_pow * self.density[i]
         };
-        let mut sum = integrand(0) + integrand(steps);
-        for i in 1..steps {
-            let w = if i % 2 == 1 { 4.0 } else { 2.0 };
-            sum += w * integrand(i);
+        let endpoint = |i: usize| {
+            term(
+                i,
+                self.phi[i].powi(e_phi as i32),
+                self.sf[i].powi(e_sf as i32),
+            )
+        };
+        let mut sum = endpoint(0) + endpoint(steps);
+        let live = self.powi_live_range(coeff, e_phi, e_sf);
+        let mut phi_pow = [0.0f64; LANES];
+        let mut sf_pow = [0.0f64; LANES];
+        for start in live.clone().step_by(LANES) {
+            let len = LANES.min(live.end - start);
+            phi_pow[..len].copy_from_slice(&self.phi[start..start + len]);
+            sf_pow[..len].copy_from_slice(&self.sf[start..start + len]);
+            powi_lanes(&mut phi_pow, e_phi);
+            powi_lanes(&mut sf_pow, e_sf);
+            for (j, (p, &q)) in phi_pow[..len].iter_mut().zip(&sf_pow).enumerate() {
+                let i = start + j;
+                let w = if i % 2 == 1 { 4.0 } else { 2.0 };
+                *p = w * term(i, *p, q);
+            }
+            for &weighted in &phi_pow[..len] {
+                sum += weighted;
+            }
         }
         sum * self.h / 3.0
+    }
+
+    /// The interior grid points `1..steps` whose `powi` terms
+    /// `coeff·e^{μ+σz}·Φ^{e_phi}·(1−Φ)^{e_sf}·φ(z)` are not provably
+    /// `+0.0`. A term is exactly `+0.0` when either power underflows to
+    /// zero (see [`powi_zero_below`]) and `coeff·e^{μ+σz}` is finite,
+    /// because the other factors lie in `[0, 1]` or are finite. Such
+    /// terms at either end of the grid — the deep left tail for
+    /// `Φ^{m−1}`, the right tail for `(1−Φ)^k` — fall outside the range,
+    /// which also spares their subnormal squarings.
+    fn powi_live_range(&self, coeff: f64, e_phi: u32, e_sf: u32) -> std::ops::Range<usize> {
+        let steps = self.phi.len() - 1;
+        let (phi_zero, sf_zero) = (powi_zero_below(e_phi), powi_zero_below(e_sf));
+        let dead = |i: usize| {
+            (self.phi[i] <= phi_zero || self.sf[i] <= sf_zero)
+                && (coeff * self.exp_term[i]).is_finite()
+        };
+        let first = (1..steps).find(|&i| !dead(i)).unwrap_or(steps);
+        let end = (first..steps)
+            .rev()
+            .find(|&i| !dead(i))
+            .map_or(first, |i| i + 1);
+        first..end
     }
 
     /// The same Simpson sum over the same grid with the integrand
@@ -385,34 +546,44 @@ impl LogNormalGrid {
     /// for every `(n, k)` an usize can express. The `(m−1)·ln Φ` and
     /// `k·ln(1−Φ)` terms are skipped when their exponent is zero, so a
     /// grid endpoint with `Φ = 0` (or `1`) contributes 0 instead of
-    /// `0·(−∞) = NaN`.
+    /// `0·(−∞) = NaN`. The logarithms come from the grid, so a term costs
+    /// at most one `exp` — none when its exponent is below
+    /// [`EXP_UNDERFLOW`] and the co-factors are finite, because then the
+    /// term is exactly `+0.0`.
     fn expected_order_stat_log_coeff(&self, n: usize, k: usize) -> f64 {
         let m = n - k;
         let ln_coeff = ln_order_stat_coeff(n, k);
         let steps = self.phi.len() - 1;
-        let integrand = |i: usize| {
-            let mut ln_pow = ln_coeff;
-            if m > 1 {
-                if self.phi[i] <= 0.0 {
-                    return 0.0;
-                }
-                ln_pow += (m as f64 - 1.0) * self.phi[i].ln();
-            }
-            if k > 0 {
-                let sf = 1.0 - self.phi[i];
-                if sf <= 0.0 {
-                    return 0.0;
-                }
-                ln_pow += k as f64 * sf.ln();
-            }
-            ln_pow.exp() * self.exp_term[i] * self.density[i]
-        };
-        let mut sum = integrand(0) + integrand(steps);
+        let mut sum = self.log_term(0, ln_coeff, m, k) + self.log_term(steps, ln_coeff, m, k);
         for i in 1..steps {
             let w = if i % 2 == 1 { 4.0 } else { 2.0 };
-            sum += w * integrand(i);
+            sum += w * self.log_term(i, ln_coeff, m, k);
         }
         sum * self.h / 3.0
+    }
+
+    /// The log-space integrand at grid point `i`. Always inlined: the
+    /// Simpson loop is its hot call site, and a call per grid point
+    /// would cost as much as the term.
+    #[inline(always)]
+    fn log_term(&self, i: usize, ln_coeff: f64, m: usize, k: usize) -> f64 {
+        let mut ln_pow = ln_coeff;
+        if m > 1 {
+            if self.phi[i] <= 0.0 {
+                return 0.0;
+            }
+            ln_pow += (m as f64 - 1.0) * self.ln_phi[i];
+        }
+        if k > 0 {
+            if self.sf[i] <= 0.0 {
+                return 0.0;
+            }
+            ln_pow += k as f64 * self.ln_sf[i];
+        }
+        if ln_pow < EXP_UNDERFLOW && self.exp_term[i].is_finite() {
+            return 0.0;
+        }
+        ln_pow.exp() * self.exp_term[i] * self.density[i]
     }
 }
 
@@ -447,7 +618,51 @@ pub const LOGNORMAL_ASYMPTOTIC_MIN_N: usize = 8_192;
 /// the window, so the result is quadrature-exact with O(1) cost in `n`
 /// and a step width that *shrinks with the peak* instead of the fixed
 /// grid's.
+///
+/// Most of the window's far side contributes exactly nothing, and the
+/// integrand skips that work without changing a bit:
+/// * `Φ` and `1 − Φ` come from one shared expansion, lane-wise through
+///   [`normal_cdf_sf_lanes`] for the window's interior;
+/// * before the two `ln` calls, `ln x ≤ x − 1` gives the upper bound
+///   `ln f ≤ ln f₀ + (m−1)(Φ−1) + k(1−Φ−1)` on the final exponent. When
+///   that bound sits below [`EXP_UNDERFLOW`] by [`SKIP_MARGIN_NATS`]
+///   plus the rounding the two sums can carry, the exponent the full
+///   computation would reach is below [`EXP_UNDERFLOW`] too, so the term
+///   is `+0.0` and the logarithms are skipped;
+/// * otherwise the exponent is computed as before, and its `exp` is
+///   skipped when it lies below [`EXP_UNDERFLOW`].
+///
+/// A skipped term would only have added `+0.0` to a non-negative sum,
+/// and the Simpson sum keeps its index order and weights, so every value
+/// is bit-identical to the unskipped quadrature.
 fn lognormal_order_stat_asymptotic(mu: f64, sigma: f64, n: usize, k: usize) -> f64 {
+    let (lo, hi) = asymptotic_window(n, k);
+    let steps = ASYMPTOTIC_STEPS;
+    let h = (hi - lo) / steps as f64;
+    let integrand = AsymptoticIntegrand::new(mu, sigma, n, k, lo, hi);
+    let mut sum = integrand.at(lo) + integrand.at(hi);
+    let (mut z, mut cdf, mut sf) = ([0.0f64; LANES], [0.0; LANES], [0.0; LANES]);
+    for start in (1..steps).step_by(LANES) {
+        let len = LANES.min(steps - start);
+        for (j, z) in z[..len].iter_mut().enumerate() {
+            *z = lo + (start + j) as f64 * h;
+        }
+        normal_cdf_sf_lanes(&z[..len], &mut cdf, &mut sf);
+        for j in 0..len {
+            let i = start + j;
+            let w = if i % 2 == 1 { 4.0 } else { 2.0 };
+            sum += w * integrand.term(z[j], cdf[j], sf[j]);
+        }
+    }
+    sum * h / 3.0
+}
+
+/// Composite-Simpson steps across the asymptotic window.
+const ASYMPTOTIC_STEPS: usize = 2048;
+
+/// The asymptotic quadrature window `b_n ± 30·a_n` (see
+/// [`lognormal_order_stat_asymptotic`]).
+fn asymptotic_window(n: usize, k: usize) -> (f64, f64) {
     let m = n - k;
     let nf = n as f64;
     let u_star = m as f64 / (nf + 1.0);
@@ -462,36 +677,87 @@ fn lognormal_order_stat_asymptotic(mu: f64, sigma: f64, n: usize, k: usize) -> f
     let phi_b = (-b_n * b_n / 2.0).exp() / (2.0 * std::f64::consts::PI).sqrt();
     let a_n = s_u / phi_b;
     let half_width = 30.0 * a_n;
-    let (lo, hi) = (b_n - half_width, b_n + half_width);
-    let steps = 2048usize;
-    let h = (hi - lo) / steps as f64;
-    let ln_coeff = ln_order_stat_coeff(n, k);
-    let ln_sqrt_2pi = 0.5 * (2.0 * std::f64::consts::PI).ln();
-    let integrand = |z: f64| {
-        let mut ln_f = ln_coeff + mu + sigma * z - z * z / 2.0 - ln_sqrt_2pi;
-        if m > 1 {
-            let cdf = normal_cdf(z);
-            if cdf <= 0.0 {
-                return 0.0;
-            }
-            ln_f += (m as f64 - 1.0) * cdf.ln();
+    (b_n - half_width, b_n + half_width)
+}
+
+/// The asymptotic window's log-space integrand (see
+/// [`lognormal_order_stat_asymptotic`]) with its per-call constants.
+struct AsymptoticIntegrand {
+    /// `ln(m·C(n, k)) + μ`.
+    ln_f0: f64,
+    sigma: f64,
+    ln_sqrt_2pi: f64,
+    /// `m − 1`, the power of `Φ`.
+    m_pow: f64,
+    /// `k`, the power of `1 − Φ`.
+    k_pow: f64,
+    /// Bound below which a term is dead without its logarithms.
+    dead_below: f64,
+}
+
+impl AsymptoticIntegrand {
+    /// The integrand of `E[X_(n−k) of n]` over the window `[lo, hi]`.
+    fn new(mu: f64, sigma: f64, n: usize, k: usize, lo: f64, hi: f64) -> Self {
+        let ln_coeff = ln_order_stat_coeff(n, k);
+        let ln_sqrt_2pi = 0.5 * (2.0 * std::f64::consts::PI).ln();
+        let (m_pow, k_pow) = ((n - k) as f64 - 1.0, k as f64);
+        // Every sum in `term` rounds within a few ulps of the magnitudes it
+        // adds, which `scale` bounds over the whole window: the bound and
+        // the exponent can differ by rounding of at most 16·ε·scale nats.
+        let z_max = lo.abs().max(hi.abs());
+        let scale = ln_coeff.abs()
+            + mu.abs()
+            + sigma * z_max
+            + z_max * z_max / 2.0
+            + ln_sqrt_2pi
+            + m_pow
+            + k_pow;
+        Self {
+            ln_f0: ln_coeff + mu,
+            sigma,
+            ln_sqrt_2pi,
+            m_pow,
+            k_pow,
+            dead_below: EXP_UNDERFLOW - SKIP_MARGIN_NATS - 16.0 * f64::EPSILON * scale,
         }
-        if k > 0 {
-            let sf = normal_sf(z);
-            if sf <= 0.0 {
-                return 0.0;
-            }
-            ln_f += k as f64 * sf.ln();
+    }
+
+    /// The integrand at `z`.
+    fn at(&self, z: f64) -> f64 {
+        let (cdf, sf) = normal_cdf_sf(z);
+        self.term(z, cdf, sf)
+    }
+
+    /// The integrand at `z` given `(cdf, sf) = normal_cdf_sf(z)`. Always
+    /// inlined: the Simpson loop is its hot call site, and a call per
+    /// point would cost as much as the term.
+    #[inline(always)]
+    fn term(&self, z: f64, cdf: f64, sf: f64) -> f64 {
+        let mut ln_f = self.ln_f0 + self.sigma * z - z * z / 2.0 - self.ln_sqrt_2pi;
+        let (has_cdf, has_sf) = (self.m_pow > 0.0, self.k_pow > 0.0);
+        if (has_cdf && cdf <= 0.0) || (has_sf && sf <= 0.0) {
+            return 0.0;
+        }
+        if ln_f + self.m_pow * (cdf - 1.0) + self.k_pow * (sf - 1.0) < self.dead_below {
+            return 0.0;
+        }
+        if has_cdf {
+            ln_f += self.m_pow * cdf.ln();
+        }
+        if has_sf {
+            ln_f += self.k_pow * sf.ln();
+        }
+        if ln_f < EXP_UNDERFLOW {
+            return 0.0;
         }
         ln_f.exp()
-    };
-    let mut sum = integrand(lo) + integrand(hi);
-    for i in 1..steps {
-        let w = if i % 2 == 1 { 4.0 } else { 2.0 };
-        sum += w * integrand(lo + i as f64 * h);
     }
-    sum * h / 3.0
 }
+
+/// Nats by which the asymptotic path's `ln x ≤ x − 1` bound must clear
+/// [`EXP_UNDERFLOW`] before a term is declared dead without its
+/// logarithms.
+const SKIP_MARGIN_NATS: f64 = 4.0;
 
 impl StragglerModel {
     /// Asserts the parameters are usable (finite, non-negative scales).
@@ -807,8 +1073,9 @@ impl StragglerModel {
             StragglerModel::LogNormalTail { .. } => {
                 let ns: Vec<usize> = (1..=n_max).collect();
                 // The per-n Simpson sums over the shared grid are
-                // independent — fan them out too.
-                par::map(&ns, |&n| self.order_stat_on(grid, n, drop_k.min(n - 1)))
+                // independent — fan them out too, interleaved so every
+                // thread gets its share of the costlier large n.
+                map_interleaved(&ns, |&n| self.order_stat_on(grid, n, drop_k.min(n - 1)))
             }
         }
     }
@@ -965,6 +1232,37 @@ impl StragglerModel {
         }
         x_lo + sum * h
     }
+}
+
+/// [`par::map`] with the items dealt round-robin across
+/// [`par::thread_count`] threads instead of in contiguous chunks: thread
+/// `t` evaluates items `t`, `t + threads`, `t + 2·threads`, …, and the
+/// results are put back at their items' indices. Order-statistic costs
+/// grow with `n` in steps (the `powi` grid, the log-space grid, the
+/// asymptotic window), so a sorted ladder cut into contiguous chunks
+/// hands one thread every expensive rung; dealt round-robin, every
+/// thread gets a slice of each regime. `out[i] == f(&items[i])` for
+/// every thread count.
+fn map_interleaved<T, R, F>(items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let threads = par::thread_count().min(items.len()).max(1);
+    let lanes: Vec<usize> = (0..threads).collect();
+    let dealt = par::map(&lanes, |&lane| {
+        items
+            .iter()
+            .skip(lane)
+            .step_by(threads)
+            .map(&f)
+            .collect::<Vec<R>>()
+    });
+    let mut dealt: Vec<_> = dealt.into_iter().map(Vec::into_iter).collect();
+    (0..items.len())
+        .filter_map(|i| dealt[i % threads].next())
+        .collect()
 }
 
 /// Whether every base time equals the first — the barrier's i.i.d. case.
@@ -1160,7 +1458,7 @@ impl OrderStatCache {
         };
         missing.sort_unstable();
         missing.dedup();
-        let values = par::map(&missing, |&(n, k)| {
+        let values = map_interleaved(&missing, |&(n, k)| {
             self.model.order_stat_on(&self.grid, n, k)
         });
         let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
@@ -1640,6 +1938,9 @@ impl StragglerGraphModel {
         )
     }
 }
+
+#[cfg(test)]
+mod parity;
 
 #[cfg(test)]
 mod tests {
@@ -2190,13 +2491,24 @@ mod tests {
 
     #[test]
     fn normal_sf_is_complement_of_cdf() {
+        // Both halves against normal_cdf and the standalone survival
+        // function as it was before it was folded into normal_cdf_sf.
+        let mut zs = vec![-0.0, 0.0, f64::MIN_POSITIVE, -40.0, 40.0];
+        zs.extend((-1200..=1200).map(|i| i as f64 / 100.0 + 0.003));
+        for z in zs {
+            let (cdf, sf) = normal_cdf_sf(z);
+            assert_eq!(cdf.to_bits(), normal_cdf(z).to_bits(), "Φ at z={z}");
+            let legacy_sf = super::parity::frozen::normal_sf(z);
+            assert_eq!(sf.to_bits(), legacy_sf.to_bits(), "1 − Φ at z={z}");
+        }
         for z in [-3.0, -0.5, 0.0, 0.5, 2.0, 5.0, 8.0] {
-            let sf = normal_sf(z);
+            let (_, sf) = normal_cdf_sf(z);
             assert!((sf - (1.0 - normal_cdf(z))).abs() < 1e-12, "z={z}: sf={sf}");
         }
         // Past the point where 1 − Φ(z) rounds to zero, the direct form
         // still resolves the tail.
-        assert!(normal_sf(9.0) > 0.0 && normal_sf(9.0) < 1e-18);
+        let (_, sf9) = normal_cdf_sf(9.0);
+        assert!(sf9 > 0.0 && sf9 < 1e-18);
     }
 
     #[test]

@@ -161,6 +161,39 @@ proptest! {
 }
 
 #[test]
+fn order_stat_warm_passes_bit_identical_across_thread_counts() {
+    // The warm passes deal rungs round-robin across the threads; which
+    // thread computes a value must never change it. Dense passes cross
+    // the coefficient seam at 512, the sparse ladder every regime.
+    let model = StragglerModel::LogNormalTail {
+        mu: -1.7,
+        sigma: 0.9,
+    };
+    let mut ladder = mlscale_core::speedup::log_spaced_ns(1_000_000, 30);
+    ladder.extend([511, 512, 513, 8191, 8192, 8193]);
+    let memo_bits = |threads: usize| {
+        par::with_thread_count(threads, || {
+            let dense = OrderStatCache::new(model);
+            dense.warm(530, 2);
+            let sparse = OrderStatCache::new(model);
+            assert_eq!(sparse.warm_sparse(&ladder, 3), ladder.len());
+            let dense_bits = (1..=530usize).map(|n| dense.expected_order_stat(n, 2.min(n - 1)));
+            let sparse_bits = ladder
+                .iter()
+                .map(|&n| sparse.expected_order_stat(n, 3.min(n - 1)));
+            dense_bits
+                .chain(sparse_bits)
+                .map(f64::to_bits)
+                .collect::<Vec<u64>>()
+        })
+    };
+    let serial = memo_bits(1);
+    for threads in [2usize, 3, 4] {
+        assert_eq!(memo_bits(threads), serial, "threads = {threads}");
+    }
+}
+
+#[test]
 fn graph_curve_bit_identical_across_thread_counts() {
     let inner = GraphInferenceModel::belief_propagation(
         10_000.0,

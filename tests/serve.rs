@@ -335,6 +335,27 @@ fn deeply_nested_body_gets_400_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn multi_mib_string_body_gets_a_prompt_400_and_the_daemon_keeps_serving() {
+    // The JSON parser once re-validated the rest of the input for every
+    // string character: a 4 MiB string held a worker for minutes. It is
+    // now one linear pass, so the spec error comes back at once.
+    let server = Server::spawn("2");
+    let body = format!(r#"{{"name":"{}"}}"#, "straggler ".repeat(400 << 10));
+    let started = std::time::Instant::now();
+    let reply = post(&server.addr, "/sweep", &body);
+    let elapsed = started.elapsed();
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    assert!(
+        elapsed < Duration::from_secs(20),
+        "a {} byte body took {elapsed:?}",
+        body.len()
+    );
+    let spec = std::fs::read_to_string("scenarios/fig2.json").expect("fig2");
+    let next = post(&server.addr, "/sweep", &spec);
+    assert_eq!(next.status, 200, "{}", next.body);
+}
+
+#[test]
 fn unknown_paths_and_methods_are_rejected() {
     let server = Server::spawn("1");
     let reply = post(&server.addr, "/train", "{}");
