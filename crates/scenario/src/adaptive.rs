@@ -27,10 +27,8 @@
 //! the `optimal n × time` proxy (node-seconds at the optimum — what an
 //! hourly price would multiply).
 
-use crate::run::{build_rollup, eval_pending, stat_of};
-use crate::spec::{
-    point_id_width, GridPoint, ResolvedWorkload, ScenarioSpec, SpecError, WorkloadSpec,
-};
+use crate::run::{build_rollup, collect_complete, eval_pending, stat_of};
+use crate::spec::{point_id_width, GridPoint, ScenarioSpec, SpecError, WorkloadSpec};
 use mlscale_core::planner::pareto_frontier;
 use mlscale_core::straggler::OrderStatCachePool;
 use mlscale_workloads::ExperimentResult;
@@ -279,23 +277,13 @@ fn eval_batch(
     evaluated: &mut BTreeMap<usize, (GridPoint, ExperimentResult, (f64, f64))>,
 ) -> Result<(), SpecError> {
     let points: Vec<GridPoint> = batch.iter().map(|&i| spec.point_at(i, width)).collect();
-    let resolved: Vec<ResolvedWorkload> = points
-        .iter()
-        .map(|p| spec.resolve(p))
-        .collect::<Result<_, _>>()?;
     let pending: Vec<usize> = (0..points.len()).collect();
     let mut results: Vec<Option<ExperimentResult>> = vec![None; points.len()];
-    eval_pending(spec, &points, &resolved, pool, &pending, &mut |i, r| {
+    eval_pending(spec, &points, pool, &pending, |_, r| Ok(r), &mut |i, r| {
         results[i] = Some(r);
         Ok(())
     })?;
-    for ((index, point), result) in batch.iter().zip(points).zip(results) {
-        let result = result.ok_or_else(|| {
-            SpecError::new(
-                format!("sweep point {index}"),
-                "never evaluated — internal scheduling bug",
-            )
-        })?;
+    for ((index, point), result) in batch.iter().zip(points).zip(collect_complete(results)?) {
         let objectives = objectives_of(&result).ok_or_else(|| {
             SpecError::new(
                 format!("grid point {}", result.id),

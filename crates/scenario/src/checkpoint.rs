@@ -34,12 +34,10 @@
 //! `sweep.after_point` after a completion is journaled.
 
 use crate::run::{
-    build_rollup, build_rollup_from, clean_stale_points, eval_pending, expected_point_ids,
-    summarize_point, PointSummary, SweepOutcome,
+    build_rollup, build_rollup_from, clean_stale_points, collect_complete, eval_pending,
+    expected_point_ids, summarize_point, PointSummary, SweepOutcome,
 };
-use crate::spec::{
-    point_id_width, GridPoint, ResolvedWorkload, ScenarioSpec, SpecError, WorkloadSpec,
-};
+use crate::spec::{point_id_width, GridPoint, ScenarioSpec, SpecError, WorkloadSpec};
 use crate::store::{self, ShardedStore};
 use mlscale_core::faultpoint;
 use mlscale_core::straggler::OrderStatCachePool;
@@ -86,10 +84,6 @@ pub fn run_checkpointed_pooled(
     resume: bool,
 ) -> Result<CheckpointedSweep, SpecError> {
     let grid = spec.expand()?;
-    let resolved: Vec<ResolvedWorkload> = grid
-        .iter()
-        .map(|p| spec.resolve(p))
-        .collect::<Result<_, _>>()?;
     let ids = expected_point_ids(spec, &grid);
     let fingerprint = spec_fingerprint(spec);
     let manifest = manifest_path(dir, &spec.name);
@@ -118,33 +112,34 @@ pub fn run_checkpointed_pooled(
         .enumerate()
         .filter_map(|(i, r)| r.is_none().then_some(i))
         .collect();
-    {
-        let mut record = |i: usize, result: ExperimentResult| -> Result<(), SpecError> {
-            write_point(dir, &result).map_err(|e| io_spec_error(dir, "cannot write point", &e))?;
+    // Workers render each point's file text; the driver writes and
+    // journals in the engine's deterministic order, so fault points fire
+    // at the same point whatever the thread count.
+    eval_pending(
+        spec,
+        &grid,
+        pool,
+        &pending,
+        |_, result| {
+            let json = render_pretty(&result)?;
+            Ok((result, json))
+        },
+        &mut |i, (result, json): (ExperimentResult, String)| {
+            write_point(dir, &result.id, &json)
+                .map_err(|e| io_spec_error(dir, "cannot write point", &e))?;
             append_point(&manifest, &result.id)
                 .map_err(|e| io_spec_error(&manifest, "cannot append", &e))?;
             faultpoint::hit(faultpoint::points::SWEEP_AFTER_POINT)
                 .map_err(|f| SpecError::new("sweep", f.to_string()))?;
             results[i] = Some(result);
             Ok(())
-        };
-        eval_pending(spec, &grid, &resolved, pool, &pending, &mut record)?;
-    }
+        },
+    )?;
 
-    let points: Vec<ExperimentResult> = results
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| {
-            r.ok_or_else(|| {
-                SpecError::new(
-                    format!("sweep point {i}"),
-                    "never evaluated — internal scheduling bug",
-                )
-            })
-        })
-        .collect::<Result<_, _>>()?;
+    let points = collect_complete(results)?;
     let rollup = build_rollup(spec, &grid, &points);
-    write_point(dir, &rollup).map_err(|e| io_spec_error(dir, "cannot write roll-up", &e))?;
+    write_point(dir, &rollup.id, &render_pretty(&rollup)?)
+        .map_err(|e| io_spec_error(dir, "cannot write roll-up", &e))?;
 
     // The directory now reflects exactly this grid: stale points from a
     // previous larger run, orphaned temp files (including any a crash
@@ -264,7 +259,7 @@ pub fn run_sharded_pooled(
             let ids: Vec<String> = points.iter().map(|p| p.id.clone()).collect();
             if let Some(results) = sharded.read_verified_shard(k, &ids, bytes) {
                 for (offset, (point, result)) in points.iter().zip(&results).enumerate() {
-                    summaries[k * shard_size + offset] = Some(summarize_point(point, result));
+                    summaries[k * shard_size + offset] = Some(summarize_point(spec, point, result));
                 }
                 verified[k] = Some((records, bytes));
                 resumed += records;
@@ -287,23 +282,34 @@ pub fn run_sharded_pooled(
             continue;
         }
         let points = chunk_points(k);
-        let resolved: Vec<ResolvedWorkload> = points
-            .iter()
-            .map(|p| spec.resolve(p))
-            .collect::<Result<_, _>>()?;
         let pending: Vec<usize> = (0..points.len()).collect();
         let mut chunk_summaries: Vec<Option<PointSummary>> = vec![None; points.len()];
-        {
-            let sharded = &mut sharded;
-            let mut record = |i: usize, result: ExperimentResult| -> Result<(), SpecError> {
+        // Workers encode each record and distil its summary; the result
+        // itself is dropped on the worker, so only encoded records wait
+        // for the driver to place them.
+        eval_pending(
+            spec,
+            &points,
+            pool,
+            &pending,
+            |i, result| {
+                let line = serde_json::to_string(&result).map_err(|e| {
+                    SpecError::new("sweep", format!("cannot encode {}: {e}", result.id))
+                })?;
+                Ok((line, summarize_point(spec, &points[i], &result)))
+            },
+            &mut |i, (line, summary): (String, PointSummary)| {
                 sharded
-                    .buffer(i, &result)
+                    .buffer_encoded(i, line)
                     .map_err(|e| io_spec_error(dir, "cannot buffer point for", &e))?;
-                chunk_summaries[i] = Some(summarize_point(&points[i], &result));
+                // Summaries live until the roll-up: the driver keeps its
+                // own copy, so they do not pin pages of the workers'
+                // heaps, which then hold only one chunk's transient
+                // records (without it the sweep's peak RSS grows).
+                chunk_summaries[i] = Some(summary.clone());
                 Ok(())
-            };
-            eval_pending(spec, &points, &resolved, pool, &pending, &mut record)?;
-        }
+            },
+        )?;
         let bytes = sharded
             .write_shard(k, points.len())
             .map_err(|e| io_spec_error(dir, "cannot write shard in", &e))?;
@@ -316,20 +322,10 @@ pub fn run_sharded_pooled(
         }
     }
 
-    let summaries: Vec<PointSummary> = summaries
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| {
-            s.ok_or_else(|| {
-                SpecError::new(
-                    format!("sweep point {i}"),
-                    "never evaluated — internal scheduling bug",
-                )
-            })
-        })
-        .collect::<Result<_, _>>()?;
+    let summaries = collect_complete(summaries)?;
     let rollup = build_rollup_from(spec, &summaries);
-    write_point(dir, &rollup).map_err(|e| io_spec_error(dir, "cannot write roll-up", &e))?;
+    write_point(dir, &rollup.id, &render_pretty(&rollup)?)
+        .map_err(|e| io_spec_error(dir, "cannot write roll-up", &e))?;
 
     // Sharded layout is authoritative: per-point files of this scenario
     // (from a previous per-point run), shards beyond the current count
@@ -378,13 +374,18 @@ fn io_spec_error(path: &Path, what: &str, e: &std::io::Error) -> SpecError {
     SpecError::new("sweep", format!("{what} {}: {e}", path.display()))
 }
 
-/// Atomically writes one result as `<id>.json` (temp file + rename),
-/// with the `sweep.write_point` fault point between the two steps — a
-/// crash there leaves only the `.tmp`, never a torn JSON.
-fn write_point(dir: &Path, result: &ExperimentResult) -> std::io::Result<PathBuf> {
-    let path = dir.join(format!("{}.json", result.id));
-    let tmp = dir.join(format!("{}.json.tmp", result.id));
-    let json = serde_json::to_string_pretty(result).map_err(std::io::Error::other)?;
+/// A result's `<id>.json` text.
+fn render_pretty(result: &ExperimentResult) -> Result<String, SpecError> {
+    serde_json::to_string_pretty(result)
+        .map_err(|e| SpecError::new("sweep", format!("cannot render {}: {e}", result.id)))
+}
+
+/// Atomically writes one rendered result as `<id>.json` (temp file +
+/// rename), with the `sweep.write_point` fault point between the two
+/// steps — a crash there leaves only the `.tmp`, never a torn JSON.
+fn write_point(dir: &Path, id: &str, json: &str) -> std::io::Result<PathBuf> {
+    let path = dir.join(format!("{id}.json"));
+    let tmp = dir.join(format!("{id}.json.tmp"));
     // lint: allow(atomic-results-io): this is the temp-file half of the rename pattern
     std::fs::write(&tmp, json)?;
     faultpoint::hit(faultpoint::points::SWEEP_WRITE_POINT)?;
@@ -792,6 +793,7 @@ mod tests {
 
     #[test]
     fn sharded_rollup_is_byte_identical_to_the_per_point_rollup() {
+        let _telemetry = store::telemetry_lock();
         let spec = spec(GRID);
         let point_dir = temp_dir("shard-vs-point");
         let per_point = run_checkpointed(&spec, &point_dir, false).unwrap();
@@ -827,6 +829,7 @@ mod tests {
 
     #[test]
     fn sharded_resume_after_shard_fault_is_byte_identical() {
+        let _telemetry = store::telemetry_lock();
         let spec = spec(GRID);
         let clean_dir = temp_dir("shard-clean");
         let clean = run_sharded(&spec, &clean_dir, false, 2).unwrap();
@@ -869,6 +872,7 @@ mod tests {
 
     #[test]
     fn sharded_resume_reuses_verified_shards_and_reevaluates_tampered_ones() {
+        let _telemetry = store::telemetry_lock();
         let spec = spec(GRID);
         let dir = temp_dir("shard-tamper");
         let clean = run_sharded(&spec, &dir, false, 2).unwrap();
@@ -895,6 +899,7 @@ mod tests {
 
     #[test]
     fn sharded_resume_refuses_layout_changes() {
+        let _telemetry = store::telemetry_lock();
         let spec = spec(GRID);
         let dir = temp_dir("shard-size-change");
         run_sharded(&spec, &dir, false, 2).unwrap();
@@ -923,6 +928,7 @@ mod tests {
 
     #[test]
     fn switching_store_layouts_cleans_the_other_layouts_files() {
+        let _telemetry = store::telemetry_lock();
         let spec = spec(GRID);
         let dir = temp_dir("layout-switch");
         let per_point = run_checkpointed(&spec, &dir, false).unwrap();

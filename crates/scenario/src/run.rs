@@ -70,17 +70,19 @@ pub fn run_pooled(
     pool: &OrderStatCachePool,
 ) -> Result<SweepOutcome, SpecError> {
     let grid = spec.expand()?;
-    let resolved: Vec<ResolvedWorkload> = grid
-        .iter()
-        .map(|p| spec.resolve(p))
-        .collect::<Result<_, _>>()?;
-    let n_points = expected_point_ids(spec, &grid).len();
-    let pending: Vec<usize> = (0..n_points).collect();
-    let mut results: Vec<Option<ExperimentResult>> = vec![None; n_points];
-    eval_pending(spec, &grid, &resolved, pool, &pending, &mut |i, result| {
-        results[i] = Some(result);
-        Ok(())
-    })?;
+    let pending: Vec<usize> = (0..grid.len()).collect();
+    let mut results: Vec<Option<ExperimentResult>> = vec![None; grid.len()];
+    eval_pending(
+        spec,
+        &grid,
+        pool,
+        &pending,
+        |_, result| Ok(result),
+        &mut |i, result| {
+            results[i] = Some(result);
+            Ok(())
+        },
+    )?;
     let points = collect_complete(results)?;
     let rollup = build_rollup(spec, &grid, &points);
     Ok(SweepOutcome {
@@ -102,38 +104,44 @@ pub(crate) fn expected_point_ids(spec: &ScenarioSpec, grid: &[GridPoint]) -> Vec
     }
 }
 
-/// Evaluates the `pending` subset of point slots, delivering each result
-/// through `sink` as soon as the engine has it (deterministic order:
-/// deterministic gd points first, then stochastic points grouped by
-/// delay distribution). The checkpointing runner journals from the sink;
-/// [`run_pooled`] just collects. Results are bit-identical regardless of
-/// which subset is pending — shared caches only memoise pure
-/// quadratures.
-pub(crate) fn eval_pending(
+/// Evaluates the `pending` subset of point slots. Each pool worker
+/// resolves its point, evaluates it and hands the result to `finish`,
+/// which turns it into whatever the caller keeps (the result itself, its
+/// encoded record, a roll-up summary), so encoding runs on every thread
+/// and a result the caller does not keep is dropped where it was made.
+/// The driver thread passes each finished point to `place` in a
+/// deterministic order: deterministic gd points first, then stochastic
+/// points grouped by delay distribution. The checkpointing runners write
+/// and journal from `place`; [`run_pooled`] just collects. Results are
+/// bit-identical regardless of thread count or of which subset is
+/// pending — shared caches only memoise pure quadratures.
+pub(crate) fn eval_pending<T, F>(
     spec: &ScenarioSpec,
     grid: &[GridPoint],
-    resolved: &[ResolvedWorkload],
     pool: &OrderStatCachePool,
     pending: &[usize],
-    sink: &mut dyn FnMut(usize, ExperimentResult) -> Result<(), SpecError>,
-) -> Result<(), SpecError> {
+    finish: F,
+    place: &mut dyn FnMut(usize, T) -> Result<(), SpecError>,
+) -> Result<(), SpecError>
+where
+    T: Send,
+    F: Fn(usize, ExperimentResult) -> Result<T, SpecError> + Sync,
+{
     match &spec.workload {
-        WorkloadSpec::Gd(_) => eval_gd_pending(spec, grid, resolved, pool, pending, sink),
-        WorkloadSpec::Bp(_) => eval_bp_pending(spec, grid, resolved, pending, sink),
+        WorkloadSpec::Gd(_) => eval_gd_pending(spec, grid, pool, pending, &finish, place),
+        WorkloadSpec::Bp(_) => eval_bp_pending(spec, grid, pending, &finish, place),
         WorkloadSpec::Exhibit(ex) => {
             for &i in pending {
-                sink(i, run_exhibit(ex)?)?;
+                place(i, finish(i, run_exhibit(ex)?)?)?;
             }
             Ok(())
         }
     }
 }
 
-/// Unwraps the per-slot results, naming any slot the scheduler skipped
-/// (an internal bug, reported rather than panicked).
-fn collect_complete(
-    results: Vec<Option<ExperimentResult>>,
-) -> Result<Vec<ExperimentResult>, SpecError> {
+/// Unwraps the per-slot results (or summaries), naming any slot the
+/// scheduler skipped (an internal bug, reported rather than panicked).
+pub(crate) fn collect_complete<T>(results: Vec<Option<T>>) -> Result<Vec<T>, SpecError> {
     results
         .into_iter()
         .enumerate()
@@ -225,42 +233,55 @@ fn is_point_file(file_name: &str, name: &str) -> bool {
 // Gradient descent
 // ---------------------------------------------------------------------------
 
-fn try_gd_of(workload: &ResolvedWorkload, point: usize) -> Result<&GdSpec, SpecError> {
-    match workload {
+fn resolve_gd(spec: &ScenarioSpec, point: &GridPoint) -> Result<Box<GdSpec>, SpecError> {
+    match spec.resolve(point)? {
         ResolvedWorkload::Gd(gd) => Ok(gd),
         other => Err(SpecError::new(
-            format!("sweep point {point}"),
+            format!("sweep point {}", point.index),
             format!("gd grid resolved to a non-gd workload ({other:?}) — internal resolver bug"),
         )),
     }
 }
 
-fn eval_gd_pending(
+/// A gd point after the first pass: finished, or waiting for its delay
+/// distribution's shared cache.
+enum FirstPass<T> {
+    Finished(T),
+    Stochastic(Box<GdSpec>),
+}
+
+fn eval_gd_pending<T, F>(
     spec: &ScenarioSpec,
     grid: &[GridPoint],
-    resolved: &[ResolvedWorkload],
     pool: &OrderStatCachePool,
     pending: &[usize],
-    sink: &mut dyn FnMut(usize, ExperimentResult) -> Result<(), SpecError>,
-) -> Result<(), SpecError> {
-    let gds: Vec<&GdSpec> = resolved
-        .iter()
-        .enumerate()
-        .map(|(i, w)| try_gd_of(w, i))
-        .collect::<Result<_, _>>()?;
-
-    // Deterministic points: pure functions of the spec, fanned out across
-    // threads (each curve additionally parallelises over n internally).
-    let det: Vec<usize> = pending
-        .iter()
-        .copied()
-        .filter(|&i| gds[i].straggler_model().is_zero())
-        .collect();
-    for (&i, result) in det
-        .iter()
-        .zip(par::map(&det, |&i| eval_gd(spec, &grid[i], gds[i], None)))
-    {
-        sink(i, result?)?;
+    finish: &F,
+    place: &mut dyn FnMut(usize, T) -> Result<(), SpecError>,
+) -> Result<(), SpecError>
+where
+    T: Send,
+    F: Fn(usize, ExperimentResult) -> Result<T, SpecError> + Sync,
+{
+    // First pass across the pool: resolve every point. Deterministic
+    // points (no straggler tail) are pure functions of the spec, so the
+    // same worker evaluates and finishes them; stochastic ones come back
+    // for grouping. A lone point runs on the driver thread, where its
+    // curve sweep parallelises over n instead.
+    let first = par::map(pending, |&i| -> Result<FirstPass<T>, SpecError> {
+        let gd = resolve_gd(spec, &grid[i])?;
+        if gd.straggler_model().is_zero() {
+            let result = eval_gd(spec, &grid[i], &gd, None)?;
+            Ok(FirstPass::Finished(finish(i, result)?))
+        } else {
+            Ok(FirstPass::Stochastic(gd))
+        }
+    });
+    let mut stochastic: Vec<(usize, Box<GdSpec>)> = Vec::new();
+    for (&i, pass) in pending.iter().zip(first) {
+        match pass? {
+            FirstPass::Finished(done) => place(i, done)?,
+            FirstPass::Stochastic(gd) => stochastic.push((i, gd)),
+        }
     }
 
     // Stochastic points: group by delay distribution, one shared
@@ -270,24 +291,19 @@ fn eval_gd_pending(
     // group's ladders: a dense shared-grid pass sized to the widest dense
     // sweep, and a sparse pass over the union of the log ladders' rungs
     // the cache does not hold yet (a dense 1..=max_n pass at extreme
-    // scale is exactly the O(max_n) cost the ladder avoids). Every curve
-    // and planner then reads memo hits.
-    let mut stochastic: Vec<usize> = pending
-        .iter()
-        .copied()
-        .filter(|&i| !gds[i].straggler_model().is_zero())
-        .collect();
-    while let Some(&first) = stochastic.first() {
-        let model = gds[first].straggler_model();
-        let (group, rest): (Vec<usize>, Vec<usize>) = stochastic
-            .iter()
-            .partition(|&&i| gds[i].straggler_model() == model);
+    // scale is exactly the O(max_n) cost the ladder avoids). The group's
+    // points then fan out across the pool, every curve and planner
+    // reading memo hits.
+    while let Some((_, first)) = stochastic.first() {
+        let model = first.straggler_model();
+        let (group, rest): (Vec<_>, Vec<_>) = stochastic
+            .into_iter()
+            .partition(|(_, gd)| gd.straggler_model() == model);
         stochastic = rest;
         let cache = pool.cache_for(model);
         let mut dense: Vec<(usize, usize)> = Vec::new(); // (backup_k, n_max)
         let mut sparse: Vec<(usize, Vec<usize>)> = Vec::new(); // (backup_k, rungs)
-        for &i in &group {
-            let gd = gds[i];
+        for (_, gd) in &group {
             match gd.ladder() {
                 Ladder::Dense(max_n) => match dense.iter_mut().find(|(k, _)| *k == gd.backup_k) {
                     Some((_, n_max)) => *n_max = (*n_max).max(max_n),
@@ -305,8 +321,11 @@ fn eval_gd_pending(
         for (backup_k, ns) in &sparse {
             cache.warm_sparse(ns, *backup_k);
         }
-        for &i in &group {
-            sink(i, eval_gd(spec, &grid[i], gds[i], Some(&cache))?)?;
+        let finished = par::map(&group, |(i, gd)| {
+            finish(*i, eval_gd(spec, &grid[*i], gd, Some(&cache))?)
+        });
+        for ((i, _), done) in group.iter().zip(finished) {
+            place(*i, done?)?;
         }
     }
     Ok(())
@@ -378,27 +397,33 @@ fn eval_gd(
 // Belief propagation
 // ---------------------------------------------------------------------------
 
-fn eval_bp_pending(
+fn eval_bp_pending<T, F>(
     spec: &ScenarioSpec,
     grid: &[GridPoint],
-    resolved: &[ResolvedWorkload],
     pending: &[usize],
-    sink: &mut dyn FnMut(usize, ExperimentResult) -> Result<(), SpecError>,
-) -> Result<(), SpecError> {
-    let evaluated = par::map(pending, |&i| {
-        let ResolvedWorkload::Bp(bp) = &resolved[i] else {
-            return Err(SpecError::new(
-                format!("sweep point {i}"),
-                format!(
-                    "bp grid resolved to a non-bp workload ({:?}) — internal resolver bug",
-                    resolved[i]
-                ),
-            ));
+    finish: &F,
+    place: &mut dyn FnMut(usize, T) -> Result<(), SpecError>,
+) -> Result<(), SpecError>
+where
+    T: Send,
+    F: Fn(usize, ExperimentResult) -> Result<T, SpecError> + Sync,
+{
+    let finished = par::map(pending, |&i| {
+        let bp = match spec.resolve(&grid[i])? {
+            ResolvedWorkload::Bp(bp) => bp,
+            other => {
+                return Err(SpecError::new(
+                    format!("sweep point {i}"),
+                    format!(
+                        "bp grid resolved to a non-bp workload ({other:?}) — internal resolver bug"
+                    ),
+                ))
+            }
         };
-        eval_bp(spec, &grid[i], bp)
+        finish(i, eval_bp(spec, &grid[i], &bp)?)
     });
-    for (&i, result) in pending.iter().zip(evaluated) {
-        sink(i, result?)?;
+    for (&i, done) in pending.iter().zip(finished) {
+        place(i, done?)?;
     }
     Ok(())
 }
@@ -555,29 +580,41 @@ pub(crate) struct PointSummary {
     pub id: String,
     /// The grid point's axis label, `None` when it has no assignments.
     pub label: Option<String>,
-    /// The point's values for [`ROLLUP_STAT_LABELS`] (absent stats
-    /// omitted).
-    pub stats: Vec<(&'static str, f64)>,
+    /// The point's values for [`ROLLUP_STAT_LABELS`], in that order
+    /// (`None` where the point lacks the stat). Inline, so a summary
+    /// costs no allocation beyond its two strings.
+    pub stats: [Option<f64>; ROLLUP_STAT_LABELS.len()],
 }
 
 impl PointSummary {
     fn stat(&self, label: &str) -> Option<f64> {
-        self.stats
+        ROLLUP_STAT_LABELS
             .iter()
-            .find(|(l, _)| *l == label)
-            .map(|&(_, v)| v)
+            .position(|&l| l == label)
+            .and_then(|k| self.stats[k])
     }
 }
 
 /// Distils one evaluated point down to what [`build_rollup_from`] reads.
-pub(crate) fn summarize_point(point: &GridPoint, result: &ExperimentResult) -> PointSummary {
+/// The axis label is read back from the title [`point_result`] built
+/// (`<title> [<label>]`) rather than formatted a second time.
+pub(crate) fn summarize_point(
+    spec: &ScenarioSpec,
+    point: &GridPoint,
+    result: &ExperimentResult,
+) -> PointSummary {
+    let label = (!point.assignments.is_empty()).then(|| {
+        result
+            .title
+            .strip_prefix(spec.display_title())
+            .and_then(|rest| rest.strip_prefix(" ["))
+            .and_then(|rest| rest.strip_suffix(']'))
+            .map_or_else(|| point.label(), str::to_string)
+    });
     PointSummary {
         id: result.id.clone(),
-        label: (!point.assignments.is_empty()).then(|| point.label()),
-        stats: ROLLUP_STAT_LABELS
-            .iter()
-            .filter_map(|&label| stat_of(result, label).map(|v| (label, v)))
-            .collect(),
+        label,
+        stats: ROLLUP_STAT_LABELS.map(|label| stat_of(result, label)),
     }
 }
 
@@ -592,7 +629,7 @@ pub(crate) fn build_rollup(
     let summaries: Vec<PointSummary> = grid
         .iter()
         .zip(points)
-        .map(|(g, p)| summarize_point(g, p))
+        .map(|(g, p)| summarize_point(spec, g, p))
         .collect();
     build_rollup_from(spec, &summaries)
 }

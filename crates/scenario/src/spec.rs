@@ -1637,26 +1637,33 @@ impl ScenarioSpec {
     /// Resolves a grid point into its concrete workload: base spec +
     /// overrides, revalidated so a bad combination names the point.
     pub fn resolve(&self, point: &GridPoint) -> Result<ResolvedWorkload> {
-        let context = if point.assignments.is_empty() {
-            format!("grid point {}", point.id)
-        } else {
-            format!("grid point {} ({})", point.id, point.label())
+        // The point's context formats every axis value but is read only
+        // on error: check against an empty path (every reported path
+        // starts with it) and prefix the context onto a failure's path.
+        let in_context = |mut e: SpecError| {
+            let context = if point.assignments.is_empty() {
+                format!("grid point {}", point.id)
+            } else {
+                format!("grid point {} ({})", point.id, point.label())
+            };
+            e.path.insert_str(0, &context);
+            e
         };
         match &self.workload {
             WorkloadSpec::Gd(gd) => {
                 let mut resolved = gd.clone();
                 for (param, value) in &point.assignments {
-                    resolved.set_param(param, value, &context)?;
+                    resolved.set_param(param, value, "").map_err(in_context)?;
                 }
-                resolved.validate(&context)?;
+                resolved.validate("").map_err(in_context)?;
                 Ok(ResolvedWorkload::Gd(resolved))
             }
             WorkloadSpec::Bp(bp) => {
                 let mut resolved = bp.clone();
                 for (param, value) in &point.assignments {
-                    resolved.set_param(param, value, &context)?;
+                    resolved.set_param(param, value, "").map_err(in_context)?;
                 }
-                resolved.validate(&context)?;
+                resolved.validate("").map_err(in_context)?;
                 Ok(ResolvedWorkload::Bp(resolved))
             }
             WorkloadSpec::Exhibit(ex) => Ok(ResolvedWorkload::Exhibit(ex.clone())),

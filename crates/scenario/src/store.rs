@@ -52,6 +52,17 @@ pub fn peak_buffered_records() -> usize {
     PEAK_BUFFERED.load(Ordering::SeqCst)
 }
 
+/// Serialises this crate's unit tests that drive a [`ShardedStore`]: the
+/// telemetry above is process-wide and the test harness runs tests on
+/// parallel threads, so one test's buffering would move the peak another
+/// test asserts on.
+#[cfg(test)]
+pub(crate) fn telemetry_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 fn note_buffered() {
     let live = LIVE_BUFFERED.fetch_add(1, Ordering::SeqCst) + 1;
     PEAK_BUFFERED.fetch_max(live, Ordering::SeqCst);
@@ -153,6 +164,13 @@ impl ShardedStore {
     /// `slot` (its offset within the shard, *not* the grid). Results may
     /// arrive in any evaluation order; slots pin them back to grid order.
     pub fn buffer(&mut self, slot: usize, result: &ExperimentResult) -> std::io::Result<()> {
+        let line = serde_json::to_string(result).map_err(std::io::Error::other)?;
+        self.buffer_encoded(slot, line)
+    }
+
+    /// [`Self::buffer`] for a record already encoded as one compact JSON
+    /// line (the sweep engine encodes on its pool workers).
+    pub fn buffer_encoded(&mut self, slot: usize, line: String) -> std::io::Result<()> {
         let cell = self.slots.get_mut(slot).ok_or_else(|| {
             std::io::Error::other(format!(
                 "shard slot {slot} out of range (shard size {}) — internal scheduling bug",
@@ -164,7 +182,7 @@ impl ShardedStore {
                 "shard slot {slot} evaluated twice — internal scheduling bug"
             )));
         }
-        *cell = Some(serde_json::to_string(result).map_err(std::io::Error::other)?);
+        *cell = Some(line);
         self.buffered += 1;
         note_buffered();
         Ok(())
@@ -282,6 +300,7 @@ mod tests {
 
     #[test]
     fn write_then_read_verifies_and_roundtrips() {
+        let _telemetry = telemetry_lock();
         let dir = temp_dir("roundtrip");
         let mut store = ShardedStore::new(&dir, "rt", 3);
         let ids: Vec<String> = (0..3).map(|i| format!("rt-p00{i}")).collect();
@@ -300,6 +319,7 @@ mod tests {
 
     #[test]
     fn verification_rejects_tampering_and_mismatches() {
+        let _telemetry = telemetry_lock();
         let dir = temp_dir("verify");
         let mut store = ShardedStore::new(&dir, "v", 2);
         let ids: Vec<String> = vec!["v-p000".into(), "v-p001".into()];
@@ -339,6 +359,7 @@ mod tests {
 
     #[test]
     fn write_shard_faultpoint_leaves_only_a_temp_file() {
+        let _telemetry = telemetry_lock();
         let dir = temp_dir("fault");
         let result = mlscale_core::faultpoint::scoped("sweep.write_shard:1=err", || {
             let mut store = ShardedStore::new(&dir, "f", 1);
@@ -361,6 +382,7 @@ mod tests {
 
     #[test]
     fn telemetry_tracks_peak_buffered_records() {
+        let _telemetry = telemetry_lock();
         let dir = temp_dir("telemetry");
         reset_buffer_telemetry();
         let mut store = ShardedStore::new(&dir, "t", 4);

@@ -2,13 +2,19 @@
 //! sweep paths, checked over the real scenario documents shipped in
 //! `scenarios/`: the adaptive refiner must land on exactly the Pareto
 //! frontier an exhaustive sweep finds, the sharded store must distil the
-//! same roll-up bytes as the per-point path, and results restored from
-//! shards must be the results that were evaluated.
+//! same roll-up bytes as the per-point path, results restored from
+//! shards must be the results that were evaluated, and every mode must
+//! write the same bytes at every thread count.
 
 use std::path::{Path, PathBuf};
 
+use mlscale::model::par;
 use mlscale::model::planner::pareto_frontier;
-use mlscale::scenario::{run, run_adaptive, run_checkpointed, run_sharded, ScenarioSpec};
+use mlscale::model::straggler::OrderStatCachePool;
+use mlscale::scenario::{
+    run, run_adaptive, run_checkpointed, run_pooled, run_sharded, write_outcome, ScenarioSpec,
+    SweepSummary, DEFAULT_PER_POINT_MAX,
+};
 use mlscale::workloads::ExperimentResult;
 
 /// The (cost, time) objectives the adaptive refiner optimises, recomputed
@@ -149,6 +155,175 @@ fn sharded_rollup_matches_the_per_point_rollup_on_every_checked_in_grid() {
             from_shards, checkpointed.outcome.points,
             "{tag}: shard records diverge from the per-point results"
         );
+    }
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// A lognormal straggler grid on a log ladder: every point draws on one
+/// shared order-statistic cache, warmed by a parallel sparse pass, and
+/// the group's points then evaluate across the pool.
+const LOGNORMAL_LADDER_GRID: &str = r#"{
+  "name": "lognormal-ladder",
+  "workload": {"kind": "gd", "preset": "fig2", "max_n": 20000, "log_points": 16,
+               "straggler": {"kind": "lognormal", "mu": -3.0, "sigma": 1.1},
+               "plan": {"iterations": 500, "price": 1.5, "deadline": 30.0}},
+  "sweep": [{"param": "comm", "values": ["tree", "ring", "halving"]},
+            {"param": "backup_k", "values": [0, 2]}]
+}"#;
+
+/// Every file in `dir`, by name.
+fn dir_bytes(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("output directory")
+        .map(|e| {
+            let path = e.expect("entry").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).expect("output file"))
+        })
+        .collect()
+}
+
+/// What one sweep mode left behind at one thread count: its files (shards
+/// or per-point files, roll-up, manifest) and the CLI's summary line.
+struct ModeOutput {
+    files: std::collections::BTreeMap<String, Vec<u8>>,
+    summary: String,
+}
+
+/// Runs every sweep mode that applies to `spec` at `threads` workers:
+/// sharded, adaptive, per-point (checkpointed) and in-memory (pooled).
+/// Grids past the per-point default (the 10⁴-point adaptive grid) skip
+/// the last two, which the CLI never picks for them.
+fn sweep_outputs(
+    spec: &ScenarioSpec,
+    base: &Path,
+    threads: usize,
+) -> Vec<(&'static str, ModeOutput)> {
+    let grid_len = spec.grid_len().expect("grid length");
+    let summary = |mode: &'static str,
+                   evaluated: usize,
+                   files: usize,
+                   shards: usize,
+                   frontier: Vec<(f64, f64)>| {
+        SweepSummary {
+            name: spec.name.clone(),
+            mode,
+            grid_points: grid_len,
+            evaluated,
+            resumed: 0,
+            files,
+            shards,
+            frontier,
+        }
+        .to_json()
+        .expect("summary JSON")
+    };
+    par::with_thread_count(threads, || {
+        let mut outputs = Vec::new();
+        let dir = base.join(format!("t{threads}-sharded"));
+        let sharded = run_sharded(spec, &dir, false, grid_len.div_ceil(2)).expect("sharded sweep");
+        outputs.push((
+            "sharded",
+            ModeOutput {
+                files: dir_bytes(&dir),
+                summary: summary(
+                    "sharded",
+                    grid_len,
+                    sharded.paths.len(),
+                    sharded.shards,
+                    Vec::new(),
+                ),
+            },
+        ));
+        if !spec.sweep.is_empty() {
+            let dir = base.join(format!("t{threads}-adaptive"));
+            let adaptive = run_adaptive(spec).expect("adaptive sweep");
+            let paths = write_outcome(&adaptive.outcome, &dir).expect("adaptive files");
+            let frontier = adaptive.frontier.iter().map(|f| (f.cost, f.time)).collect();
+            outputs.push((
+                "adaptive",
+                ModeOutput {
+                    files: dir_bytes(&dir),
+                    summary: summary(
+                        "adaptive",
+                        adaptive.outcome.points.len(),
+                        paths.len(),
+                        0,
+                        frontier,
+                    ),
+                },
+            ));
+        }
+        if grid_len <= DEFAULT_PER_POINT_MAX {
+            let dir = base.join(format!("t{threads}-per-point"));
+            let checkpointed = run_checkpointed(spec, &dir, false).expect("per-point sweep");
+            outputs.push((
+                "per-point",
+                ModeOutput {
+                    files: dir_bytes(&dir),
+                    summary: summary(
+                        "per-point",
+                        grid_len,
+                        checkpointed.paths.len(),
+                        0,
+                        Vec::new(),
+                    ),
+                },
+            ));
+            let dir = base.join(format!("t{threads}-pooled"));
+            let outcome = run_pooled(spec, &OrderStatCachePool::new()).expect("in-memory sweep");
+            let paths = write_outcome(&outcome, &dir).expect("in-memory files");
+            outputs.push((
+                "pooled",
+                ModeOutput {
+                    files: dir_bytes(&dir),
+                    summary: summary("per-point", grid_len, paths.len(), 0, Vec::new()),
+                },
+            ));
+        }
+        outputs
+    })
+}
+
+#[test]
+fn sweep_output_does_not_depend_on_the_thread_count() {
+    let base = std::env::temp_dir().join(format!("mlscale-sweep-threads-{}", std::process::id()));
+    std::fs::remove_dir_all(&base).ok();
+    let mut specs = grid_scenarios();
+    specs.push((
+        PathBuf::from("lognormal-ladder"),
+        ScenarioSpec::from_json(LOGNORMAL_LADDER_GRID).expect("valid scenario"),
+    ));
+    for (path, spec) in specs {
+        let tag = path.file_stem().unwrap().to_string_lossy().into_owned();
+        let dir = base.join(&tag);
+        let serial = sweep_outputs(&spec, &dir, 1);
+        assert!(
+            serial.iter().any(|(mode, _)| *mode == "sharded"),
+            "{tag}: every grid streams through the sharded store"
+        );
+        for threads in [2, 3] {
+            let parallel = sweep_outputs(&spec, &dir, threads);
+            assert_eq!(serial.len(), parallel.len(), "{tag}: modes run");
+            for ((mode, one), (_, many)) in serial.iter().zip(&parallel) {
+                assert_eq!(
+                    one.files.keys().collect::<Vec<_>>(),
+                    many.files.keys().collect::<Vec<_>>(),
+                    "{tag} {mode}: files differ at {threads} threads"
+                );
+                for (name, bytes) in &one.files {
+                    assert!(
+                        many.files[name] == *bytes,
+                        "{tag} {mode}: {name} differs at {threads} threads"
+                    );
+                }
+                assert_eq!(
+                    one.summary, many.summary,
+                    "{tag} {mode}: summary line differs at {threads} threads"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
     std::fs::remove_dir_all(&base).ok();
 }
